@@ -59,7 +59,7 @@ import os
 import sys
 from typing import Callable, Dict, List, Optional
 
-from .runtime import ExperimentRunner, ResultCache, parse_size
+from .runtime import ExperimentRunner, ResultCache, drop_failures, parse_size
 
 
 def _add_des_core_flag(parser: argparse.ArgumentParser) -> None:
@@ -89,24 +89,26 @@ def _table2(runner: ExperimentRunner) -> str:
     return render_table2(run_table2(runner=runner))
 
 
+#: ``(seed, students, start, end)`` of the class sessions Figure 2 bins.
+_FIGURE2_SESSIONS = (
+    (101, 24, 9 * 3600.0, 10 * 3600.0),
+    (102, 40, 11 * 3600.0, 12.5 * 3600.0),
+    (103, 15, 15 * 3600.0, 16 * 3600.0),
+)
+
+
 def _figure2(runner: ExperimentRunner) -> str:
     from .experiments.common import format_series
-    from .mobility import class_session_trace
+    from .mobility.traces import classroom_handoff_times
     from .stats import BinnedSeries
 
     series = BinnedSeries(bin_width=600.0)
-    for seed, students, start, end in (
-        (101, 24, 9 * 3600.0, 10 * 3600.0),
-        (102, 40, 11 * 3600.0, 12.5 * 3600.0),
-        (103, 15, 15 * 3600.0, 16 * 3600.0),
-    ):
-        trace = class_session_trace(
-            seed=seed, students=students, start_time=start, end_time=end,
-            walkby_rate=0.0,
-        )
-        for event in trace:
-            if "class" in (event.from_cell, event.to_cell):
-                series.add(event.time)
+    sessions = runner.run_many(
+        classroom_handoff_times, _FIGURE2_SESSIONS, label="figure2"
+    )
+    for times in drop_failures(sessions, context="figure2 session"):
+        for t in times:
+            series.add(t)
     return (
         "Figure 2: handoff activity in a lounge (10-minute bins)\n"
         + format_series(
@@ -166,11 +168,21 @@ def _adaptation_value(runner: ExperimentRunner) -> str:
     )
 
 
+#: Seed of the single campus-day replication.
+_CAMPUS_DAY_SEED = 42
+
+
 def _campus_day(runner: ExperimentRunner) -> str:
     from .experiments.common import format_table
     from .sim import run_campus_day
 
-    result = run_campus_day()
+    results = drop_failures(
+        runner.run_many(run_campus_day, [_CAMPUS_DAY_SEED], label="campus-day"),
+        context="campus day",
+    )
+    if not results:
+        raise RuntimeError("campus day: the only replication failed")
+    result = results[0]
     stats = result.stats
     return format_table(
         ["metric", "value"],

@@ -19,6 +19,7 @@ __all__ = [
     "MoveTrace",
     "office_week_trace",
     "class_session_trace",
+    "classroom_handoff_times",
     "OFFICE_WEEK_TARGETS",
 ]
 
@@ -219,3 +220,18 @@ def class_session_trace(
             "walkers": walker,
         },
     )
+
+
+def classroom_handoff_times(session: Tuple[int, int, float, float]) -> List[float]:
+    """Times of the handoffs into or out of the classroom in one session.
+
+    ``session`` is ``(seed, students, start_time, end_time)`` of a
+    :func:`class_session_trace` without walk-by traffic; the one-argument
+    form lets an experiment runner dispatch sessions as configs.
+    """
+    seed, students, start_time, end_time = session
+    trace = class_session_trace(
+        seed=seed, students=students, start_time=start_time,
+        end_time=end_time, walkby_rate=0.0,
+    )
+    return [e.time for e in trace if "class" in (e.from_cell, e.to_cell)]

@@ -6,8 +6,10 @@ from .scenarios import (
     CampusScaleConfig,
     CampusScaleResult,
     OfficeWeekResult,
+    attach_campus,
     run_campus_day,
     run_campus_scale,
+    run_campus_waves,
     run_office_week,
     simulate_campus_scale,
 )
@@ -28,7 +30,9 @@ __all__ = [
     "OfficeWeekResult",
     "run_office_week",
     "run_campus_day",
+    "attach_campus",
     "run_campus_scale",
+    "run_campus_waves",
     "simulate_campus_scale",
     "FloorplanSimulator",
     "TwoCellResult",

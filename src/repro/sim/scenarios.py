@@ -27,7 +27,9 @@ __all__ = [
     "run_office_week",
     "CampusScaleConfig",
     "CampusScaleResult",
+    "attach_campus",
     "run_campus_scale",
+    "run_campus_waves",
     "simulate_campus_scale",
 ]
 
@@ -55,9 +57,9 @@ def run_campus_day(
     a lunch rush at the cafeteria, and random walkers in the lounge —
     exercising every cell class and the full Figure 1 pipeline.
     """
-    # Runs outside the experiment runtime, so reset auto-ids here the way
-    # the runner does per replication: output must not depend on whatever
-    # this process simulated first.
+    # Callers may run this outside the experiment runtime, so reset auto-ids
+    # here the way the runner does per replication: output must not depend
+    # on whatever this process simulated first.
     reset_conn_ids()
     rng = random.Random(seed)
     plan = campus_floorplan()
@@ -339,17 +341,14 @@ class CampusScaleResult:
     reserved_total: float
 
 
-def run_campus_scale(config: CampusScaleConfig) -> CampusScaleResult:
-    """Simulate diurnal handoff waves over a multi-building campus.
+def attach_campus(config: CampusScaleConfig) -> FloorplanSimulator:
+    """Build the campus and attach its whole population (the setup phase).
 
-    The whole population attaches up front; the active minority opens audio
-    connections and crosses cells in batched waves whose size follows a
-    raised-cosine diurnal envelope.  Periodic maintenance re-runs the
-    static/mobile test — at scale, the incremental path touches only the
-    cells the waves actually dirtied.
+    Every portable attaches up front; the active minority also opens an
+    audio connection.  :func:`run_campus_waves` then drives the steady
+    state on the returned simulator.
     """
     reset_conn_ids()
-    rng = random.Random(config.seed)
     plan = campus_plan(
         buildings=config.buildings,
         floors=config.floors,
@@ -363,16 +362,34 @@ def run_campus_scale(config: CampusScaleConfig) -> CampusScaleResult:
         seed=config.seed,
         incremental=config.incremental,
     )
-    env = sim.env
     cells = plan.cells  # fixed generation order
-
-    active_count = min(config.portables, int(config.portables * config.active_fraction))
     for i in range(config.portables):
         sim.add_portable(f"u{i}", cells[i % len(cells)])
-    active_pids = [f"u{i}" for i in range(active_count)]
-    for pid in active_pids:
+    for pid in _active_pids(config):
         sim.request_connection(pid, audio_request())
+    return sim
 
+
+def _active_pids(config: CampusScaleConfig) -> List[str]:
+    active = min(config.portables, int(config.portables * config.active_fraction))
+    return [f"u{i}" for i in range(active)]
+
+
+def run_campus_waves(
+    config: CampusScaleConfig, sim: FloorplanSimulator
+) -> CampusScaleResult:
+    """Run the steady state on an :func:`attach_campus` simulator.
+
+    The active minority crosses cells in batched waves whose size follows
+    a raised-cosine diurnal envelope.  Periodic maintenance re-runs the
+    static/mobile test — at scale, the incremental path touches only the
+    cells the waves actually dirtied.
+    """
+    env = sim.env
+    plan = sim.plan
+    cells = plan.cells
+    active_pids = _active_pids(config)
+    rng = random.Random(config.seed)
     wave_rng = random.Random(rng.randrange(2**31))
 
     def waves():
@@ -408,7 +425,7 @@ def run_campus_scale(config: CampusScaleConfig) -> CampusScaleResult:
         stats=sim.stats,
         cells=len(cells),
         portables=config.portables,
-        active=active_count,
+        active=len(active_pids),
         handoffs=sim.stats.handoff_attempts,
         drops=sim.stats.handoff_drops,
         blocked=manager.blocked,
@@ -417,6 +434,11 @@ def run_campus_scale(config: CampusScaleConfig) -> CampusScaleResult:
         pool_total=pool_total,
         reserved_total=reserved_total,
     )
+
+
+def run_campus_scale(config: CampusScaleConfig) -> CampusScaleResult:
+    """Simulate diurnal handoff waves over a multi-building campus."""
+    return run_campus_waves(config, attach_campus(config))
 
 
 def simulate_campus_scale(config) -> CampusScaleResult:

@@ -2,8 +2,8 @@
 
 ``make_environment()`` is the only sanctioned way to pick a kernel; these
 tests pin every edge of that seam — env-var parsing, the explicit-native
-failure mode when the extension is missing, the silent ``auto`` fallbacks
-for tracing and recycling — plus the per-core event accounting that
+failure mode when the extension is missing, the silent ``auto`` fallback
+for tracing — plus the per-core event accounting that
 telemetry uses to refuse mixed-kernel sweeps.
 
 Tests marked ``requires_native`` exercise the real extension and skip on
@@ -17,7 +17,6 @@ import pytest
 
 from repro.des import (
     NATIVE_ENV,
-    RECYCLE_ENV,
     Environment,
     Event,
     events_processed_by_core,
@@ -41,7 +40,6 @@ requires_native = pytest.mark.skipif(
 @pytest.fixture
 def clean_env(monkeypatch):
     monkeypatch.delenv(NATIVE_ENV, raising=False)
-    monkeypatch.delenv(RECYCLE_ENV, raising=False)
     return monkeypatch
 
 
@@ -120,7 +118,7 @@ def test_native_available_reports_no_error_when_importable(clean_env):
     assert native_import_error() is None
 
 
-# -- tracing and recycling veto the compiled pump ---------------------------
+# -- tracing vetoes the compiled pump ----------------------------------------
 
 
 @requires_native
@@ -131,14 +129,6 @@ def test_tracer_forces_pure_selection(clean_env):
         assert selected_core("native") == "pure"  # even an explicit request
         assert type(make_environment()) is Environment
     assert selected_core() == "native"
-
-
-def test_recycling_forces_pure_selection(clean_env):
-    clean_env.setenv(RECYCLE_ENV, "1")
-    clean_env.setenv(NATIVE_ENV, "1")
-    if native_available():
-        assert selected_core() == "pure"
-    assert make_environment().core == "pure"
 
 
 @requires_native

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import re
+
 import pytest
 
 from repro.__main__ import EXPERIMENTS, main
@@ -19,8 +21,18 @@ def test_single_experiment_runs(capsys):
 
 
 def test_figure2_runs(capsys):
-    assert main(["figure2"]) == 0
-    assert "Figure 2" in capsys.readouterr().out
+    assert main(["--stats", "figure2"]) == 0
+    out = capsys.readouterr().out
+    assert "Figure 2" in out
+    assert re.search(r"replications:\s+3\n", out)  # one per class session
+
+
+def test_stats_counts_campus_day_replication(capsys):
+    assert main(["--stats", "campus-day"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"replications:\s+1\n", out)
+    events = re.search(r"des events:\s+([\d,]+) processed", out)
+    assert events and int(events.group(1).replace(",", "")) > 0
 
 
 def test_unknown_experiment_rejected():
