@@ -57,7 +57,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from .runtime import ExperimentRunner, ResultCache, drop_failures, parse_size
 
@@ -81,6 +81,32 @@ def _apply_des_core(args: argparse.Namespace) -> None:
         from .des import NATIVE_ENV
 
         os.environ[NATIVE_ENV] = args.des_core
+
+
+def _add_node_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--nodes", type=int, default=None, metavar="N",
+        help="node workers for --backend distributed (default 2)",
+    )
+    parser.add_argument(
+        "--node-jobs", default=None, metavar="N",
+        help="worker processes inside each distributed node (default 1)",
+    )
+
+
+def _node_options(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> Dict[str, Any]:
+    """The runner options ``--nodes`` / ``--node-jobs`` set; refused
+    unless ``--backend distributed``, the only backend they apply to."""
+    options = {
+        key: value
+        for key, value in (("nodes", args.nodes), ("node_jobs", args.node_jobs))
+        if value is not None
+    }
+    if options and args.backend != "distributed":
+        parser.error("--nodes and --node-jobs require --backend distributed")
+    return options
 
 
 def _table2(runner: ExperimentRunner) -> str:
@@ -320,14 +346,7 @@ def _campus_main(argv: List[str]) -> int:
         "--backend", choices=("serial", "process", "distributed"), default=None,
         help="execution backend (default: serial for --jobs 1, else process)",
     )
-    parser.add_argument(
-        "--nodes", type=int, default=2, metavar="N",
-        help="node workers for --backend distributed (default 2)",
-    )
-    parser.add_argument(
-        "--node-jobs", default=1, metavar="N",
-        help="worker processes inside each distributed node (default 1)",
-    )
+    _add_node_flags(parser)
     parser.add_argument(
         "--stats", action="store_true",
         help="print run telemetry (wall times, in-worker DES events/sec, "
@@ -344,8 +363,7 @@ def _campus_main(argv: List[str]) -> int:
     runner = ExperimentRunner(
         jobs=args.jobs,
         backend=args.backend,
-        nodes=args.nodes,
-        node_jobs=args.node_jobs,
+        **_node_options(parser, args),
     )
     configs = [
         {
@@ -498,14 +516,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "'distributed' shards sweeps across --nodes node workers with "
         "resumable job manifests — see docs/DISTRIBUTED.md)",
     )
-    parser.add_argument(
-        "--nodes", type=int, default=2, metavar="N",
-        help="node workers for --backend distributed (default 2)",
-    )
-    parser.add_argument(
-        "--node-jobs", default=1, metavar="N",
-        help="worker processes inside each distributed node (default 1)",
-    )
+    _add_node_flags(parser)
     parser.add_argument(
         "--cache", action="store_true",
         help="reuse previously simulated sweep points from benchmarks/.cache/",
@@ -569,8 +580,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     runner = ExperimentRunner(
         jobs=args.jobs,
         backend=args.backend,
-        nodes=args.nodes,
-        node_jobs=args.node_jobs,
+        **_node_options(parser, args),
         cache=ResultCache() if args.cache else None,
         max_retries=args.max_retries,
         timeout=args.timeout,

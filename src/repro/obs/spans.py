@@ -209,7 +209,7 @@ class SpanLedger:
     A ledger is created once per ``_execute`` call with the sweep span id
     as parent.  Backends report each try via :meth:`attempt` and the
     final outcome via :meth:`settle`; the ledger assembles the
-    replication span (status, total duration, attempt count) so the four
+    replication span (status, total duration, attempt count) so the
     execution paths don't each reimplement the parentage rules.
     """
 

@@ -1075,9 +1075,8 @@ def run_node_chunks(
     chunks = {c.chunk_id: c for c in plan.chunks}
     sweep_parent = options.get("span_sweep")
 
-    # Nodes with retries/timeout/partial run attempts in supervised child
-    # processes so a crashing config cannot take the whole node down —
-    # the same isolation the single-machine fault-tolerant path uses.
+    # Nodes with retries/timeout/partial run attempts in worker processes
+    # so a crashing config cannot take the whole node down.
     fault_tolerant = (
         options["max_retries"] > 0
         or options["timeout"] is not None

@@ -1,40 +1,45 @@
 """``ExperimentRunner``: dispatch independent simulation configs.
 
-The runner owns *how* a sweep executes (serial loop or a process pool),
-never *what* it computes: workers receive a module-level function plus one
-picklable config and return one picklable result.  Submission order is
-preserved, worker exceptions surface as :class:`WorkerError` with the
-failing config attached, and an optional
+The runner owns *how* a sweep executes (in-process, in worker processes,
+or across distributed nodes), never *what* it computes: workers receive a
+module-level function plus one picklable config and return one picklable
+result.  Submission order is preserved, failures surface as
+:class:`WorkerError` with the failing config attached, and an optional
 :class:`~repro.runtime.cache.ResultCache` short-circuits configs that were
 already simulated.
 
-Fault tolerance (opt-in, mirroring the paper's graceful-degradation theme:
-connections adapt inside ``[b_min, b_max]`` instead of failing hard, and so
-should the harness that sweeps them):
+There are two local placements and one failure policy:
+
+* ``"serial"`` runs every attempt in the coordinator process;
+* ``"process"`` keeps up to ``jobs`` long-lived worker processes, each on
+  a private duplex pipe and holding one attempt at a time.  A worker that
+  dies is attributed to exactly the config it held (:class:`WorkerCrash`)
+  and replaced, as is one cancelled at its deadline.
+
+Every finished attempt (success, exception, timeout or crash) goes
+through one settle step that applies the fault-tolerance options,
+mirroring the paper's graceful-degradation theme: connections adapt
+inside ``[b_min, b_max]`` instead of failing hard, and so should the
+harness that sweeps them.
 
 * ``max_retries`` / ``retry_backoff`` — each failing config is re-attempted
   with exponential backoff (``retry_backoff * 2**(attempt-1)`` seconds
   between attempts) before it is declared exhausted;
-* ``timeout`` — a per-replication wall-clock budget.  On the supervised
-  process backend a hung worker is *cancelled* (its process terminated) and
-  the config rescheduled; on the serial backend a ``SIGALRM`` timer
-  interrupts the attempt in place;
+* ``timeout`` — a per-replication wall-clock budget.  On the process
+  backend a hung worker is terminated at the deadline and replaced; on the
+  serial backend a ``SIGALRM`` timer interrupts the attempt in place;
 * ``partial=True`` — exhausted configs come back as a typed
   :class:`FailedResult` sentinel in their submission slot instead of
   aborting the whole sweep with :class:`WorkerError`.
 
-When any fault-tolerance option is active the process backend switches
-from the chunked ``pool.map`` fast path to a supervised
-process-per-attempt scheme: each attempt runs in its own child with a
-private pipe, so crashes are attributed to the exact config, hangs are
-cancelled at the deadline, and retries reschedule without poisoning a
-shared pool.  Successful results remain bit-identical to a fault-free
-serial run — workers are pure functions of their config.
+With none of them set the first failure of any kind raises
+:class:`WorkerError`.  Successful results are bit-identical at any
+placement — workers are pure functions of their config.
 
 In-worker observability rides on top of the backends: when a tracer or
 a real metrics registry is installed on the coordinator, each replication
 runs under a private worker-side registry + ring-buffer tracer; the
-compact snapshots ride back with the results through the pool pipe and
+compact snapshots ride back with the results through the worker pipe and
 are merged deterministically in replication-index order, so ``--trace`` /
 ``--metrics-json`` produce identical output at any ``--jobs N``.
 """
@@ -51,7 +56,6 @@ import time
 import traceback
 import warnings
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from multiprocessing.connection import Connection, wait as _connection_wait
@@ -276,7 +280,7 @@ def _observed_call(
     Installs a fresh registry and/or ring-buffer tracer for the duration
     of the call and restores the previous collectors afterwards — the
     serial backend uses this too, so a ``--jobs 1`` run takes the *same*
-    capture-then-merge path as a pool run (the byte-identity guarantee).
+    capture-then-merge path as a worker run (the byte-identity guarantee).
     With ``obs=None`` this is a plain call (replication resets still run).
     """
     for reset in _REPLICATION_RESETS:
@@ -326,7 +330,7 @@ def _des_core_delta(before: Dict[str, int]) -> Dict[str, int]:
     }
 
 
-#: (fn, config, obs request) — one pool task.
+#: (fn, config, obs request) — one attempt's work.
 _Payload = Tuple[Callable[[Any], Any], Any, Optional[ObsRequest]]
 
 #: (ok, value-or-(exc, tb), worker seconds, DES events, DES events by
@@ -334,87 +338,67 @@ _Payload = Tuple[Callable[[Any], Any], Any, Optional[ObsRequest]]
 _Message = Tuple[bool, Any, float, int, Dict[str, int], Optional[ObsSnapshot]]
 
 
-def _call(payload: _Payload) -> _Message:
-    """Process-pool trampoline: never raises, so the config context is
-    attached on the coordinator side rather than lost in the pool.  The
-    attempt's wall seconds and DES event count are measured here — inside
-    the worker — so per-replication telemetry survives the process
-    boundary.  The observability snapshot rides back alongside the
-    result."""
+def _failure(cause: BaseException, tb: str, seconds: float) -> _Message:
+    """The report of a failed attempt."""
+    return False, (cause, tb), seconds, 0, {}, None
+
+
+def _attempt(payload: _Payload) -> _Message:
+    """Run one attempt and report it; never raises an ``Exception``.
+
+    The attempt's wall seconds and DES event counts are measured where it
+    runs, so per-replication telemetry survives the process boundary; the
+    config context is attached by the coordinator's settle step.
+    """
     fn, config, obs = payload
     started = time.perf_counter()
     events_before = events_processed_total()
     cores_before = events_processed_by_core()
     try:
         result, snapshot = _observed_call(fn, config, obs)
-        elapsed = time.perf_counter() - started
-        events = events_processed_total() - events_before
-        cores = _des_core_delta(cores_before)
-    except Exception as exc:  # noqa: BLE001 - re-raised with context
-        return (
-            False,
-            (exc, traceback.format_exc()),
-            time.perf_counter() - started,
-            0,
-            {},
-            None,
-        )
-    return True, result, elapsed, events, cores, snapshot
+    except Exception as exc:  # noqa: BLE001 - settled by the coordinator
+        return _failure(exc, traceback.format_exc(), time.perf_counter() - started)
+    return (
+        True,
+        result,
+        time.perf_counter() - started,
+        events_processed_total() - events_before,
+        _des_core_delta(cores_before),
+        snapshot,
+    )
 
 
-def _supervised_child(
-    conn: Connection,
-    fn: Callable[[Any], Any],
-    config: Any,
-    obs: Optional[ObsRequest] = None,
-) -> None:
-    """Entry point of a supervised worker process: one attempt, one config."""
-    started = time.perf_counter()
-    events_before = events_processed_total()
-    cores_before = events_processed_by_core()
+def _worker_main(conn: Connection, coordinator_end: Connection) -> None:
+    """Entry point of a long-lived worker process.
+
+    Runs one payload at a time until the coordinator sends ``None`` or
+    its end of the pipe closes.  The worker first drops its own copy of
+    that end, so a coordinator that dies without cleaning up reads here
+    as EOF and the worker exits instead of waiting forever.
+    """
+    coordinator_end.close()
     try:
-        result, snapshot = _observed_call(fn, config, obs)
-        elapsed = time.perf_counter() - started
-        events = events_processed_total() - events_before
-        cores = _des_core_delta(cores_before)
-        message: _Message = (True, result, elapsed, events, cores, snapshot)
-    except BaseException as exc:  # noqa: BLE001 - serialized to coordinator
-        message = (
-            False,
-            (exc, traceback.format_exc()),
-            time.perf_counter() - started,
-            0,
-            {},
-            None,
-        )
-    try:
-        conn.send(message)
-    except Exception:
-        # Unpicklable result or exception: degrade to a picklable failure so
-        # the coordinator records an error instead of inferring a crash.
-        detail = "result" if message[0] else "exception"
-        tb = "" if message[0] else message[1][1]
-        try:
-            conn.send((
-                False,
-                (RuntimeError(f"unpicklable {detail} from worker"), tb),
-                message[2],
-                0,
-                {},
-                None,
-            ))
-        except Exception:
-            pass  # pipe gone; the coordinator will classify this as a crash
+        while True:
+            payload = conn.recv()
+            if payload is None:
+                return
+            message = _attempt(payload)
+            try:
+                conn.send(message)
+            except Exception:
+                # Unpicklable result or exception: degrade to a picklable
+                # failure so the coordinator records an error, not a crash.
+                ok, value, seconds = message[:3]
+                detail = "result" if ok else "exception"
+                conn.send(_failure(
+                    RuntimeError(f"unpicklable {detail} from worker"),
+                    "" if ok else value[1],
+                    seconds,
+                ))
+    except (EOFError, OSError):
+        pass  # the coordinator went away
     finally:
         conn.close()
-
-
-def _alarm_available() -> bool:
-    """SIGALRM-based timeouts need a main-thread POSIX coordinator."""
-    return (
-        hasattr(signal, "SIGALRM")
-        and threading.current_thread() is threading.main_thread()
-    )
 
 
 def _reap(proc: multiprocessing.process.BaseProcess) -> None:
@@ -433,10 +417,13 @@ class ExperimentRunner:
     Parameters
     ----------
     jobs:
-        Worker count (see :func:`resolve_jobs`); 1 means in-process serial.
+        Worker count (see :func:`resolve_jobs`).
     backend:
         ``"serial"``, ``"process"``, or ``"distributed"``; defaults to
-        ``"process"`` when ``jobs > 1``.  The distributed backend shards
+        ``"process"`` when ``jobs > 1``, else ``"serial"``.  ``"serial"``
+        runs every attempt in-process and refuses ``jobs > 1``;
+        ``"process"`` runs every attempt in a worker process, even at
+        ``jobs=1`` or for a single config.  The distributed backend shards
         each batch across ``nodes`` node-worker processes through a
         content-hash-keyed job manifest (see
         :mod:`repro.runtime.distributed`); results stay bit-identical to
@@ -445,9 +432,6 @@ class ExperimentRunner:
     cache:
         Optional :class:`~repro.runtime.cache.ResultCache`; hits skip
         simulation entirely.  Failed sweep points are never cached.
-    chunk_size:
-        Configs per pool task on the fast (fault-intolerant) pool path;
-        default splits the batch into about four chunks per worker.
     max_retries:
         Failed attempts allowed per config beyond the first (default 0:
         one attempt, fail hard — the pre-fault-tolerance behavior).
@@ -455,19 +439,14 @@ class ExperimentRunner:
         Base backoff in seconds; attempt ``k`` (1-based) waits
         ``retry_backoff * 2**(k-1)`` seconds before retrying.
     timeout:
-        Per-attempt wall-clock budget in seconds.  Supervised process
-        workers are terminated and rescheduled at the deadline; serial
-        attempts are interrupted via ``SIGALRM`` where available.
+        Per-attempt wall-clock budget in seconds.  Process workers are
+        terminated and replaced at the deadline and the config
+        rescheduled; serial attempts are interrupted via ``SIGALRM`` where
+        available.
     partial:
         When True, a config that exhausts its attempts yields a
         :class:`FailedResult` in its result slot instead of raising
         :class:`WorkerError`, so one bad point cannot abort a sweep.
-    worker_observability:
-        When True (default) and a tracer or a real metrics registry is
-        installed on the coordinator, every replication — serial or
-        pooled — runs under private per-replication collectors whose
-        snapshots are merged back deterministically in submission order.
-        False restores collector-blind workers (pre-merge behavior).
     trace_capacity:
         Worker-side trace ring-buffer capacity in records per
         replication; overflow is counted in ``telemetry.trace_dropped``.
@@ -515,12 +494,10 @@ class ExperimentRunner:
         jobs: Union[int, str, None] = None,
         backend: Optional[str] = None,
         cache: Optional["ResultCache"] = None,
-        chunk_size: Optional[int] = None,
         max_retries: int = 0,
         retry_backoff: float = 0.0,
         timeout: Optional[float] = None,
         partial: bool = False,
-        worker_observability: bool = True,
         trace_capacity: int = DEFAULT_TRACE_CAPACITY,
         profile: bool = False,
         on_progress: Optional[Callable[[RunTelemetry], None]] = None,
@@ -539,6 +516,10 @@ class ExperimentRunner:
             backend = "process" if self.jobs > 1 else "serial"
         if backend not in ("serial", "process", "distributed"):
             raise ValueError(f"unknown backend {backend!r}")
+        if backend == "serial" and self.jobs > 1:
+            raise ValueError(
+                f"backend 'serial' runs in-process and takes jobs=1, got {self.jobs}"
+            )
         if int(nodes) != nodes or nodes < 1:
             raise ValueError(f"nodes must be an int >= 1, got {nodes!r}")
         if node_timeout is not None and node_timeout <= 0:
@@ -555,12 +536,10 @@ class ExperimentRunner:
             raise ValueError(f"timeout must be > 0 seconds, got {timeout!r}")
         self.backend = backend
         self.cache = cache
-        self.chunk_size = chunk_size
         self.max_retries = int(max_retries)
         self.retry_backoff = float(retry_backoff)
         self.timeout = timeout
         self.partial = bool(partial)
-        self.worker_observability = bool(worker_observability)
         self.trace_capacity = int(trace_capacity)
         self.profile = bool(profile)
         self.on_progress = on_progress
@@ -585,12 +564,6 @@ class ExperimentRunner:
     def profile_stats(self) -> Dict[Any, Any]:
         """Merged raw cProfile stats (see :mod:`repro.obs.profiling`)."""
         return self._profile_stats
-
-    @property
-    def fault_tolerant(self) -> bool:
-        """True when any retry/timeout/partial option routes execution
-        through the supervised paths."""
-        return self.max_retries > 0 or self.timeout is not None or self.partial
 
     def run_many(
         self,
@@ -677,8 +650,6 @@ class ExperimentRunner:
         tracer means workers trace (honoring its kind filter), a non-null
         registry means workers meter.
         """
-        if not self.worker_observability:
-            return None
         tracer = get_tracer()
         registry = get_registry()
         want_metrics = not isinstance(registry, NullRegistry)
@@ -753,95 +724,67 @@ class ExperimentRunner:
         if collector is not None and span_parent is not None:
             self._span_ledger = SpanLedger(collector, span_parent)
         try:
-            if self.fault_tolerant:
-                if self.backend == "process":
-                    return self._run_supervised(fn, configs, indices, obs)
-                return self._run_serial_ft(fn, configs, indices, obs)
-            if self.backend == "serial" or self.jobs == 1 or len(configs) <= 1:
-                return self._run_serial(fn, configs, indices, obs)
-            return self._run_pool(fn, configs, indices, obs)
+            if self.backend == "process":
+                return self._run_process(fn, configs, indices, obs)
+            return self._run_serial(fn, configs, indices, obs)
         finally:
             self._span_ledger = None
 
-    def _run_serial(
-        self,
-        fn: Callable[[Any], Any],
-        configs: List[Any],
-        indices: List[int],
-        obs: Optional[ObsRequest],
-    ) -> List[Tuple[Any, Optional[ObsSnapshot]]]:
+    def _settle(
+        self, config: Any, index: int, attempts: int, message: _Message
+    ) -> Optional[Tuple[Any, Optional[ObsSnapshot]]]:
+        """Apply the failure policy to one finished attempt.
+
+        Returns the config's ``(value, snapshot)`` slot once it is settled
+        (its result, or a :class:`FailedResult` under ``partial``), None
+        when it should be retried, and raises :class:`WorkerError` once
+        its attempts are exhausted otherwise.
+        """
+        ok, value, elapsed, events, cores, snapshot = message
         ledger = self._span_ledger
-        out: List[Tuple[Any, Optional[ObsSnapshot]]] = []
-        for config, index in zip(configs, indices):
-            started = time.perf_counter()
-            events_before = events_processed_total()
-            cores_before = events_processed_by_core()
-            try:
-                out.append(_observed_call(fn, config, obs))
-            except Exception as exc:
-                self.telemetry.failures += 1
-                if ledger is not None:
-                    ledger.attempt(index, "error", time.perf_counter() - started)
-                    ledger.settle(index, "failed")
-                self._progress()
-                raise WorkerError(
-                    config, index, exc, traceback.format_exc()
-                ) from exc
-            elapsed = time.perf_counter() - started
+        if ok:
             if ledger is not None:
                 ledger.attempt(index, "ok", elapsed)
                 ledger.settle(index, "ok")
-            self.telemetry.record_replication(
-                elapsed,
-                events_processed_total() - events_before,
-                _des_core_delta(cores_before),
-            )
+            self.telemetry.record_replication(elapsed, events, cores)
             self._progress()
-        return out
-
-    def _run_pool(
-        self,
-        fn: Callable[[Any], Any],
-        configs: List[Any],
-        indices: List[int],
-        obs: Optional[ObsRequest],
-    ) -> List[Tuple[Any, Optional[ObsSnapshot]]]:
-        ledger = self._span_ledger
-        workers = min(self.jobs, len(configs))
-        chunk = self.chunk_size or max(1, len(configs) // (workers * 4))
-        out: List[Tuple[Any, Optional[ObsSnapshot]]] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            payloads = [(fn, config, obs) for config in configs]
-            for pos, (ok, value, elapsed, events, cores, snapshot) in enumerate(
-                pool.map(_call, payloads, chunksize=chunk)
-            ):
-                if not ok:
-                    exc, tb = value
-                    self.telemetry.failures += 1
-                    if ledger is not None:
-                        ledger.attempt(indices[pos], "error", elapsed)
-                        ledger.settle(indices[pos], "failed")
-                    self._progress()
-                    raise WorkerError(configs[pos], indices[pos], exc, tb) from exc
-                out.append((value, snapshot))
-                if ledger is not None:
-                    ledger.attempt(indices[pos], "ok", elapsed)
-                    ledger.settle(indices[pos], "ok")
-                self.telemetry.record_replication(elapsed, events, cores)
-                self._progress()
-        return out
-
-    # -- fault-tolerant paths ---------------------------------------------
+            return value, snapshot
+        cause, tb = value
+        if isinstance(cause, ReplicationTimeout):
+            self.telemetry.timeouts += 1
+            status = "timeout"
+        elif isinstance(cause, WorkerCrash):
+            self.telemetry.crashes += 1
+            status = "crash"
+        else:
+            status = "error"
+        if ledger is not None:
+            ledger.attempt(index, status, elapsed)
+        if attempts <= self.max_retries:
+            self.telemetry.retries += 1
+            return None
+        self.telemetry.failures += 1
+        if ledger is not None:
+            ledger.settle(index, "failed")
+        self._progress()
+        if self.partial:
+            return FailedResult(config, index, attempts, repr(cause), tb), None
+        raise WorkerError(config, index, cause, tb, attempts=attempts) from cause
 
     def _backoff_delay(self, failed_attempts: int) -> float:
         """Seconds to wait after the ``failed_attempts``-th failure."""
         return self.retry_backoff * (2.0 ** (failed_attempts - 1))
 
-    def _call_with_alarm(self, fn: Callable[[Any], Any], config: Any) -> Any:
-        """One serial attempt, interrupted by SIGALRM at ``timeout``."""
+    def _attempt_with_alarm(self, payload: _Payload) -> _Message:
+        """One in-process attempt, interrupted by SIGALRM at ``timeout``
+        (which needs a main-thread POSIX coordinator)."""
         limit = self.timeout
-        if limit is None or not _alarm_available():
-            return fn(config)
+        if (
+            limit is None
+            or not hasattr(signal, "SIGALRM")
+            or threading.current_thread() is not threading.main_thread()
+        ):
+            return _attempt(payload)
 
         def _on_alarm(signum: int, frame: Any) -> None:
             raise ReplicationTimeout(
@@ -851,235 +794,170 @@ class ExperimentRunner:
         previous = signal.signal(signal.SIGALRM, _on_alarm)
         signal.setitimer(signal.ITIMER_REAL, limit)
         try:
-            return fn(config)
+            return _attempt(payload)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
 
-    def _run_serial_ft(
+    def _run_serial(
         self,
         fn: Callable[[Any], Any],
         configs: List[Any],
         indices: List[int],
         obs: Optional[ObsRequest],
     ) -> List[Tuple[Any, Optional[ObsSnapshot]]]:
-        """Serial execution with retries, backoff, timeout, and partial."""
-
-        def attempt(config: Any) -> Tuple[Any, Optional[ObsSnapshot]]:
-            # Capture *inside* the alarm window so an interrupted attempt
-            # still restores the coordinator's collectors (and its partial
-            # snapshot is discarded with the exception).
-            return _observed_call(fn, config, obs)
-
-        ledger = self._span_ledger
+        """Attempt each config in-process; settle; retry after backoff."""
         out: List[Tuple[Any, Optional[ObsSnapshot]]] = []
         for config, index in zip(configs, indices):
             attempts = 0
             while True:
                 attempts += 1
-                started = time.perf_counter()
-                events_before = events_processed_total()
-                cores_before = events_processed_by_core()
-                try:
-                    result, snapshot = self._call_with_alarm(attempt, config)
-                except Exception as exc:
-                    tb = traceback.format_exc()
-                    timed_out = isinstance(exc, ReplicationTimeout)
-                    if timed_out:
-                        self.telemetry.timeouts += 1
-                    if ledger is not None:
-                        ledger.attempt(
-                            index,
-                            "timeout" if timed_out else "error",
-                            time.perf_counter() - started,
-                        )
-                    if attempts <= self.max_retries:
-                        self.telemetry.retries += 1
-                        delay = self._backoff_delay(attempts)
-                        if delay > 0:
-                            self._sleep(delay)
-                        continue
-                    self.telemetry.failures += 1
-                    if ledger is not None:
-                        ledger.settle(index, "failed")
-                    self._progress()
-                    if self.partial:
-                        out.append((
-                            FailedResult(config, index, attempts, repr(exc), tb),
-                            None,
-                        ))
-                        break
-                    raise WorkerError(
-                        config, index, exc, tb, attempts=attempts
-                    ) from exc
-                elapsed = time.perf_counter() - started
-                if ledger is not None:
-                    ledger.attempt(index, "ok", elapsed)
-                    ledger.settle(index, "ok")
-                out.append((result, snapshot))
-                self.telemetry.record_replication(
-                    elapsed,
-                    events_processed_total() - events_before,
-                    _des_core_delta(cores_before),
-                )
-                self._progress()
-                break
+                message = self._attempt_with_alarm((fn, config, obs))
+                settled = self._settle(config, index, attempts, message)
+                if settled is not None:
+                    out.append(settled)
+                    break
+                delay = self._backoff_delay(attempts)
+                if delay > 0:
+                    self._sleep(delay)
         return out
 
-    def _run_supervised(
+    def _run_process(
         self,
         fn: Callable[[Any], Any],
         configs: List[Any],
         indices: List[int],
         obs: Optional[ObsRequest],
     ) -> List[Tuple[Any, Optional[ObsSnapshot]]]:
-        """Process-per-attempt execution with cancellation and retries.
+        """Attempt configs in up to ``jobs`` long-lived worker processes.
 
-        Each attempt gets its own child process and pipe: a crash closes the
-        pipe (attributed to exactly that config), a hang is terminated at
-        its deadline, and retried configs relaunch after their backoff
-        delay.  Up to ``jobs`` attempts run concurrently.
+        Each worker sits on a private duplex pipe and holds one attempt at
+        a time.  Pipe EOF is a crash of exactly the config the worker held;
+        a passed deadline terminates the worker.  Either way the worker is
+        reaped and a fresh one takes its place.  An idle worker takes the
+        next runnable config, or a retried one once its backoff expires.
         """
-        ctx = multiprocessing.get_context()
-        ledger = self._span_ledger
         n = len(configs)
         slots = min(self.jobs, n)
         results: List[Tuple[Any, Optional[ObsSnapshot]]] = [(None, None)] * n
         attempts = [0] * n
         runnable: Deque[int] = deque(range(n))
         delayed: List[Tuple[float, int]] = []  # (eligible_at, position) heap
-        # pipe -> (process, position, deadline, launched_at)
-        inflight: Dict[Connection, Tuple[Any, int, Optional[float], float]] = {}
+        idle: List[Tuple[Any, Connection]] = []  # (process, pipe)
+        # pipe -> (process, position, deadline, started_at)
+        busy: Dict[Connection, Tuple[Any, int, Optional[float], float]] = {}
         done = 0
 
-        def launch(pos: int) -> None:
-            recv_end, send_end = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_supervised_child,
-                args=(send_end, fn, configs[pos], obs),
-                daemon=True,
+        def spawn() -> Tuple[Any, Connection]:
+            conn, child_conn = multiprocessing.Pipe()
+            proc = multiprocessing.Process(
+                target=_worker_main, args=(child_conn, conn), daemon=True
             )
             proc.start()
-            send_end.close()  # coordinator's copy; child death now EOFs recv
-            now = self._clock()
-            deadline = now + self.timeout if self.timeout is not None else None
-            inflight[recv_end] = (proc, pos, deadline, now)
+            child_conn.close()  # the worker's death now EOFs our end
+            return proc, conn
 
-        def settle_failure(
-            pos: int, cause: BaseException, tb: str, seconds: float
-        ) -> None:
+        def settle(pos: int, message: _Message) -> None:
             nonlocal done
-            if isinstance(cause, ReplicationTimeout):
-                self.telemetry.timeouts += 1
-                attempt_status = "timeout"
-            elif isinstance(cause, WorkerCrash):
-                self.telemetry.crashes += 1
-                attempt_status = "crash"
-            else:
-                attempt_status = "error"
-            if ledger is not None:
-                ledger.attempt(indices[pos], attempt_status, seconds)
-            if attempts[pos] <= self.max_retries:
-                self.telemetry.retries += 1
-                delay = self._backoff_delay(attempts[pos])
-                if delay > 0:
-                    heappush(delayed, (self._clock() + delay, pos))
-                else:
-                    runnable.append(pos)
-                return
-            self.telemetry.failures += 1
-            if ledger is not None:
-                ledger.settle(indices[pos], "failed")
-            self._progress()
-            if self.partial:
-                results[pos] = (
-                    FailedResult(
-                        configs[pos], indices[pos], attempts[pos], repr(cause), tb
-                    ),
-                    None,
-                )
+            settled = self._settle(configs[pos], indices[pos], attempts[pos], message)
+            if settled is not None:
+                results[pos] = settled
                 done += 1
                 return
-            raise WorkerError(
-                configs[pos], indices[pos], cause, tb, attempts=attempts[pos]
-            )
+            delay = self._backoff_delay(attempts[pos])
+            if delay > 0:
+                heappush(delayed, (self._clock() + delay, pos))
+            else:
+                runnable.append(pos)
+
+        def dispatch(worker: Tuple[Any, Connection], pos: int) -> None:
+            proc, conn = worker
+            attempts[pos] += 1
+            try:
+                conn.send((fn, configs[pos], obs))
+            except Exception as exc:  # unpicklable payload, or a dead worker
+                if proc.is_alive():
+                    idle.append(worker)
+                else:
+                    _reap(proc)
+                    conn.close()
+                settle(pos, _failure(exc, traceback.format_exc(), 0.0))
+                return
+            now = self._clock()
+            deadline = now + self.timeout if self.timeout is not None else None
+            busy[conn] = (proc, pos, deadline, now)
 
         try:
             while done < n:
                 now = self._clock()
                 while delayed and delayed[0][0] <= now:
                     runnable.append(heappop(delayed)[1])
-                while runnable and len(inflight) < slots:
-                    launch(runnable.popleft())
-                if not inflight:
+                while runnable and (idle or len(busy) < slots):
+                    dispatch(idle.pop() if idle else spawn(), runnable.popleft())
+                if not busy:
                     if delayed:
                         self._sleep(max(0.0, delayed[0][0] - self._clock()))
                     continue
 
                 waits = [
                     deadline - now
-                    for (_proc, _pos, deadline, _launched) in inflight.values()
+                    for (_proc, _pos, deadline, _started) in busy.values()
                     if deadline is not None
                 ]
                 if delayed:
                     waits.append(delayed[0][0] - now)
                 poll = max(0.0, min(waits)) if waits else None
 
-                for conn in _connection_wait(list(inflight), timeout=poll):
-                    proc, pos, _deadline, launched = inflight.pop(conn)  # type: ignore[arg-type]
-                    attempts[pos] += 1
+                for conn in _connection_wait(list(busy), timeout=poll):
+                    proc, pos, _deadline, started = busy.pop(conn)  # type: ignore[arg-type]
                     try:
-                        ok, payload, elapsed, events, cores, snapshot = conn.recv()  # type: ignore[union-attr]
+                        message = conn.recv()  # type: ignore[union-attr]
                     except (EOFError, OSError):
                         proc.join()
-                        settle_failure(
-                            pos,
+                        conn.close()  # type: ignore[union-attr]
+                        settle(pos, _failure(
                             WorkerCrash(
-                                "worker process died with exit code "
-                                f"{proc.exitcode}"
+                                f"worker process died with exit code {proc.exitcode}"
                             ),
                             "",
-                            self._clock() - launched,
+                            self._clock() - started,
+                        ))
+                        continue
+                    except Exception as exc:  # a report that won't unpickle here
+                        message = _failure(
+                            exc, traceback.format_exc(), self._clock() - started
                         )
-                    else:
-                        proc.join()
-                        if ok:
-                            results[pos] = (payload, snapshot)
-                            done += 1
-                            if ledger is not None:
-                                ledger.attempt(indices[pos], "ok", elapsed)
-                                ledger.settle(indices[pos], "ok")
-                            self.telemetry.record_replication(elapsed, events, cores)
-                            self._progress()
-                        else:
-                            cause, tb = payload
-                            settle_failure(pos, cause, tb, elapsed)
-                    finally:
-                        conn.close()  # type: ignore[union-attr]
+                    idle.append((proc, conn))  # type: ignore[arg-type]
+                    settle(pos, message)
 
                 now = self._clock()
                 expired = [
                     conn
-                    for conn, (_proc, _pos, deadline, _launched) in inflight.items()
+                    for conn, (_proc, _pos, deadline, _started) in busy.items()
                     if deadline is not None and deadline <= now
                 ]
                 for conn in expired:
-                    proc, pos, _deadline, launched = inflight.pop(conn)
+                    proc, pos, _deadline, started = busy.pop(conn)
                     _reap(proc)
                     conn.close()
-                    attempts[pos] += 1
-                    settle_failure(
-                        pos,
+                    settle(pos, _failure(
                         ReplicationTimeout(
                             f"replication exceeded {self.timeout}s wall-clock "
                             "timeout; worker cancelled"
                         ),
                         "",
-                        now - launched,
-                    )
+                        now - started,
+                    ))
         finally:
-            for conn, (proc, _pos, _deadline, _launched) in inflight.items():
+            for conn, (proc, _pos, _deadline, _started) in busy.items():
                 _reap(proc)
                 conn.close()
-            inflight.clear()
+            for _proc, conn in idle:
+                try:
+                    conn.send(None)
+                except OSError:
+                    pass  # already dead; the join below reaps it
+            for proc, conn in idle:
+                proc.join()
+                conn.close()
         return results

@@ -137,15 +137,6 @@ def test_runner_merge_matches_serial_observation():
     assert set(stamps) == {0, 1, 2, 3}
 
 
-def test_worker_observability_opt_out():
-    registry = MetricsRegistry()
-    with use_registry(registry):
-        ExperimentRunner(jobs=2, worker_observability=False).run_many(
-            simulate_twocell_stats, _sweep_configs()
-        )
-    assert registry.to_dict()["metrics"] == []
-
-
 def test_no_observers_means_no_snapshot_overhead():
     runner = ExperimentRunner(jobs=2)
     runner.run_many(simulate_twocell_stats, _sweep_configs())

@@ -9,6 +9,7 @@ results that survive the faults are bit-identical to a fault-free serial
 run.
 """
 
+import threading
 import time
 import warnings
 
@@ -39,6 +40,21 @@ def _square(x):
 
 def _no_sleep(_seconds):
     return None
+
+
+def _lock(_config):
+    return threading.Lock()
+
+
+class _UnloadableError(Exception):
+    """Pickles, but cannot be rebuilt from its args on the other side."""
+
+    def __init__(self, first, second):
+        super().__init__(first)
+
+
+def _raise_unloadable(config):
+    raise _UnloadableError(config, "second")
 
 
 # -- retry with exponential backoff ----------------------------------------
@@ -231,6 +247,42 @@ def test_crash_exhaustion_raises_worker_crash(tmp_path):
     assert "exit code 7" in str(excinfo.value.cause)
 
 
+def test_crash_at_default_options_raises_worker_error(tmp_path):
+    """No fault-tolerance option set: a crash still names its config and
+    is counted, exactly as under ``partial`` or ``max_retries``."""
+    injector = FaultInjector(
+        _square, {3: FaultSpec("crash", attempts=1, exit_code=7)}, tmp_path
+    )
+    runner = ExperimentRunner(jobs=2)
+    with pytest.raises(WorkerError) as excinfo:
+        runner.run_many(injector, CONFIGS)
+    err = excinfo.value
+    assert err.config == 3 and err.index == 2
+    assert isinstance(err.cause, WorkerCrash)
+    assert "exit code 7" in str(err.cause)
+    assert runner.telemetry.crashes == 1
+    assert runner.telemetry.failures == 1
+
+
+@pytest.mark.parametrize(
+    "fn, cause_type, message",
+    [
+        (_lock, RuntimeError, "unpicklable result from worker"),
+        (_raise_unloadable, TypeError, "__init__()"),
+    ],
+)
+def test_unsendable_report_at_default_options_raises_worker_error(
+    fn, cause_type, message
+):
+    runner = ExperimentRunner(jobs=2)
+    with pytest.raises(WorkerError) as excinfo:
+        runner.run_many(fn, CONFIGS)
+    err = excinfo.value
+    assert err.config in CONFIGS
+    assert isinstance(err.cause, cause_type)
+    assert message in str(err.cause)
+
+
 def test_crash_demoted_to_exception_on_serial_backend(tmp_path):
     """In-coordinator crashes would kill the test process; the injector
     demotes them to InjectedFault so serial sweeps stay testable."""
@@ -291,11 +343,12 @@ def test_retry_results_identical_on_both_backends(tmp_path):
         {"timeout": 0.0},
         {"timeout": -3.0},
         {"backend": "threads"},
+        {"backend": "serial", "jobs": 2},
     ],
 )
 def test_invalid_runner_options_rejected(kwargs):
     with pytest.raises(ValueError):
-        ExperimentRunner(jobs=1, **kwargs)
+        ExperimentRunner(**{"jobs": 1, **kwargs})
 
 
 @pytest.mark.parametrize(
@@ -309,10 +362,3 @@ def test_invalid_runner_options_rejected(kwargs):
 def test_invalid_fault_spec_rejected(kwargs):
     with pytest.raises(ValueError):
         FaultSpec(**kwargs)
-
-
-def test_fault_tolerant_property_reflects_options():
-    assert not ExperimentRunner(jobs=1).fault_tolerant
-    assert ExperimentRunner(jobs=1, max_retries=1).fault_tolerant
-    assert ExperimentRunner(jobs=1, timeout=5.0).fault_tolerant
-    assert ExperimentRunner(jobs=1, partial=True).fault_tolerant

@@ -67,7 +67,7 @@ def test_explicit_backend_validation():
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_worker_error_carries_config(jobs):
-    runner = ExperimentRunner(jobs=jobs, chunk_size=1)
+    runner = ExperimentRunner(jobs=jobs)
     with pytest.raises(WorkerError) as excinfo:
         runner.run_many(_fail_on_negative, [3, 1, -7, 2])
     err = excinfo.value
@@ -78,7 +78,7 @@ def test_worker_error_carries_config(jobs):
 
 
 def test_pool_worker_error_includes_remote_traceback():
-    runner = ExperimentRunner(jobs=2, chunk_size=1)
+    runner = ExperimentRunner(jobs=2)
     with pytest.raises(WorkerError) as excinfo:
         runner.run_many(_fail_on_negative, [1, -1, 2, 3])
     assert "ValueError" in excinfo.value.worker_traceback
@@ -124,20 +124,15 @@ def test_explicit_jobs_beats_environment(monkeypatch):
     assert ExperimentRunner(jobs=2).jobs == 2
 
 
-def test_pool_worker_count_clamped_to_batch(monkeypatch):
+def _pid(_config):
+    return os.getpid()
+
+
+def test_pool_worker_count_clamped_to_batch():
     """``--jobs auto`` on a big box must not fork more workers than
-    there are sweep points."""
-    import repro.runtime.runner as runner_module
-
-    captured = {}
-    real_executor = runner_module.ProcessPoolExecutor
-
-    class SpyExecutor(real_executor):
-        def __init__(self, max_workers=None, **kwargs):
-            captured["max_workers"] = max_workers
-            super().__init__(max_workers=max_workers, **kwargs)
-
-    monkeypatch.setattr(runner_module, "ProcessPoolExecutor", SpyExecutor)
-    runner = ExperimentRunner(jobs=8)
-    assert runner.run_many(_square, [2, 3]) == [4, 9]
-    assert captured["max_workers"] == 2
+    there are sweep points, and workers persist across attempts rather
+    than one process per attempt."""
+    for jobs, configs in ((8, 2), (2, 8)):
+        pids = ExperimentRunner(jobs=jobs).run_many(_pid, range(configs))
+        assert os.getpid() not in pids
+        assert len(set(pids)) <= min(jobs, configs)
