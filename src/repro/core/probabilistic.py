@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -58,18 +59,34 @@ def handoff_in_probability(mu: float, window: float, handoff_prob: float) -> flo
     return (1.0 - stay_probability(mu, window)) * handoff_prob
 
 
+#: Entries kept by each pmf memo.  The Figure 6 grid touches a few hundred
+#: ``(n, p)`` pairs; the bound only stops an open-ended sweep of ``p`` from
+#: growing the tables without limit.
+_PMF_MEMO_SIZE = 4096
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@lru_cache(maxsize=_PMF_MEMO_SIZE)
 def _binomial_pmf(n: int, p: float) -> np.ndarray:
-    """Exact binomial pmf over 0..n (log-space for numerical robustness)."""
+    """Exact binomial pmf over 0..n (log-space for numerical robustness).
+
+    Memoised: a pure function of ``(n, p)``, so one table serves every
+    replication in a process.  The returned array is read-only.
+    """
     if n == 0:
-        return np.array([1.0])
+        return _read_only(np.array([1.0]))
     if p <= 0.0:
         pmf = np.zeros(n + 1)
         pmf[0] = 1.0
-        return pmf
+        return _read_only(pmf)
     if p >= 1.0:
         pmf = np.zeros(n + 1)
         pmf[n] = 1.0
-        return pmf
+        return _read_only(pmf)
     from scipy.special import gammaln
 
     k = np.arange(n + 1)
@@ -80,15 +97,25 @@ def _binomial_pmf(n: int, p: float) -> np.ndarray:
         + k * math.log(p)
         + (n - k) * math.log(1.0 - p)
     )
-    return np.exp(log_pmf)
+    return _read_only(np.exp(log_pmf))
 
 
-def _scale_to_integers(bandwidths: Sequence[float]) -> Tuple[List[int], float]:
+@lru_cache(maxsize=_PMF_MEMO_SIZE)
+def _expanded_pmf(n: int, p: float, weight: int) -> np.ndarray:
+    """Pmf of ``weight * Binomial(n, p)`` on the integer load grid (memoised,
+    read-only)."""
+    expanded = np.zeros(n * weight + 1)
+    expanded[::weight] = _binomial_pmf(n, p)
+    return _read_only(expanded)
+
+
+@lru_cache(maxsize=256)
+def _scale_to_integers(bandwidths: Tuple[float, ...]) -> Tuple[Tuple[int, ...], float]:
     """Scale bandwidths to a common integer grid; returns (ints, unit)."""
     for scale in (1, 2, 4, 5, 8, 10, 16, 20, 25, 50, 100, 1000):
         scaled = [b * scale for b in bandwidths]
         if all(abs(s - round(s)) < 1e-9 and round(s) >= 1 for s in scaled):
-            return [int(round(s)) for s in scaled], 1.0 / scale
+            return tuple(int(round(s)) for s in scaled), 1.0 / scale
     raise ValueError(
         f"bandwidths {list(bandwidths)} cannot be scaled to integers"
     )
@@ -103,17 +130,18 @@ def weighted_binomial_sum_pmf(
     Returns ``(pmf, unit)`` where ``pmf[k]`` is the probability of total
     load ``k * unit``.
     """
+    for _, n, _ in groups:
+        if n < 0:
+            raise ValueError(f"count must be non-negative, got {n}")
     active = [(b, n, p) for b, n, p in groups if n > 0]
     if not active:
         return np.array([1.0]), 1.0
-    weights, unit = _scale_to_integers([b for b, _, _ in active])
-    pmf = np.array([1.0])
-    for (bw, (_, n, p)) in zip(weights, active):
-        if n < 0:
-            raise ValueError(f"count must be non-negative, got {n}")
-        base = _binomial_pmf(n, p)
-        expanded = np.zeros(n * bw + 1)
-        expanded[:: bw] = base
+    weights, unit = _scale_to_integers(tuple(b for b, _, _ in active))
+    pmfs = [_expanded_pmf(n, p, weight) for weight, (_, n, p) in zip(weights, active)]
+    # Starting from the first group's pmf skips a convolution with [1.0],
+    # which is exact; the copy keeps the memo's arrays out of callers' hands.
+    pmf = pmfs[0].copy()
+    for expanded in pmfs[1:]:
         pmf = np.convolve(pmf, expanded)
     return pmf, unit
 
@@ -177,6 +205,15 @@ class ProbabilisticAdmission:
         self.window = window
         self.p_qos = p_qos
         self.types = [_TypeParams(*t) for t in types]
+        # Per-type (bandwidth, p_s, p_m): fixed by the window, so built once.
+        self._probabilities = [
+            (
+                t.bandwidth,
+                stay_probability(t.mu, window),
+                handoff_in_probability(t.mu, window, t.handoff_prob),
+            )
+            for t in self.types
+        ]
         self._cache: Dict[tuple, float] = {}
 
     def survival_groups(
@@ -188,25 +225,24 @@ class ProbabilisticAdmission:
         ):
             raise ValueError("counts must have one entry per type")
         groups: List[Tuple[float, int, float]] = []
-        for params, n, s in zip(self.types, local_counts, neighbor_counts):
-            p_s = stay_probability(params.mu, self.window)
-            p_m = handoff_in_probability(
-                params.mu, self.window, params.handoff_prob
-            )
-            groups.append((params.bandwidth, int(n), p_s))
-            groups.append((params.bandwidth, int(s), p_m))
+        for (bandwidth, p_s, p_m), n, s in zip(
+            self._probabilities, local_counts, neighbor_counts
+        ):
+            groups.append((bandwidth, int(n), p_s))
+            groups.append((bandwidth, int(s), p_m))
         return groups
 
     def nonblocking(
         self, local_counts: Sequence[int], neighbor_counts: Sequence[int]
     ) -> float:
-        """``P_nb`` for the given occupancy (memoized)."""
+        """``P_nb`` for the given occupancy (memoized per instance)."""
         key = (tuple(local_counts), tuple(neighbor_counts))
-        if key not in self._cache:
-            self._cache[key] = nonblocking_probability(
+        p_nb = self._cache.get(key)
+        if p_nb is None:
+            p_nb = self._cache[key] = nonblocking_probability(
                 self.capacity, self.survival_groups(local_counts, neighbor_counts)
             )
-        return self._cache[key]
+        return p_nb
 
     def admit_new(
         self,

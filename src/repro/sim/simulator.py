@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 from typing import Dict, Hashable, List, Optional
 
 from ..core.classifier import CellTypeLearner
@@ -82,6 +83,8 @@ class TwoCellSimulator:
         self.counts: Dict[str, List[int]] = {
             cell: [0] * len(config.types) for cell in self.CELLS
         }
+        self._bandwidths = [t.bandwidth for t in config.types]
+        self._limit = config.capacity + 1e-9
         self._admission: Optional[ProbabilisticAdmission] = None
         if config.policy == "probabilistic":
             self._admission = ProbabilisticAdmission(
@@ -99,9 +102,9 @@ class TwoCellSimulator:
     # -- workload processes ------------------------------------------------------
 
     def _arrival_stream(self, cell: str, index: int, spec):
-        env = self.env
+        env, rng = self.env, self.rng
         while True:
-            yield env.timeout(self.rng.expovariate(spec.arrival_rate))
+            yield env.timeout(rng.expovariate(spec.arrival_rate))
             self._new_request(cell, index)
 
     def _new_request(self, cell: str, ctype: int) -> None:
@@ -114,45 +117,47 @@ class TwoCellSimulator:
             self.env.process(self._residency(cell, ctype))
 
     def _residency(self, cell: str, ctype: int):
-        """One cell-residency; chains into handoffs recursively."""
+        """A connection's cell-residencies, carried across its handoffs."""
+        env, rng, counts, stats = self.env, self.rng, self.counts, self.stats
         spec = self.config.types[ctype]
-        yield self.env.timeout(self.rng.expovariate(spec.mu))
-        self.counts[cell][ctype] -= 1
-        counting = self.env.now >= self.config.warmup
+        mu, handoff_prob, bandwidth = spec.mu, spec.handoff_prob, spec.bandwidth
+        warmup, limit = self.config.warmup, self._limit
+        while True:
+            yield env.timeout(rng.expovariate(mu))
+            counts[cell][ctype] -= 1
+            counting = env.now >= warmup
 
-        if self.rng.random() >= spec.handoff_prob:
+            if rng.random() >= handoff_prob:
+                if counting:
+                    stats.record_completion()
+                return  # natural termination
+
+            cell = "s" if cell == "q" else "q"
+            fits = self._bandwidth_used(cell) + bandwidth <= limit
             if counting:
-                self.stats.record_completion()
-            return  # natural termination
-
-        other = "s" if cell == "q" else "q"
-        fits = self._bandwidth_used(other) + spec.bandwidth <= self.config.capacity + 1e-9
-        if counting:
-            self.stats.record_handoff(attempts=1, drops=0 if fits else 1)
-        if not fits:
-            return  # dropped mid-call
-        self.counts[other][ctype] += 1
-        yield from self._residency(other, ctype)
+                stats.record_handoff(attempts=1, drops=0 if fits else 1)
+            if not fits:
+                return  # dropped mid-call
+            counts[cell][ctype] += 1
 
     # -- admission ----------------------------------------------------------------
 
     def _bandwidth_used(self, cell: str) -> float:
-        return sum(
-            n * t.bandwidth
-            for n, t in zip(self.counts[cell], self.config.types)
-        )
+        # Adds type by type, so it equals a fresh ``sum(n * b)`` bit for bit.
+        return sum(map(mul, self.counts[cell], self._bandwidths))
 
     def _admit_new(self, cell: str, ctype: int) -> bool:
-        spec = self.config.types[ctype]
+        bandwidth = self._bandwidths[ctype]
         used = self._bandwidth_used(cell)
-        if used + spec.bandwidth > self.config.capacity + 1e-9:
+        if used + bandwidth > self._limit:
             return False  # no physical room
 
-        if self.config.policy == "plain":
+        policy = self.config.policy
+        if policy == "plain":
             return True
-        if self.config.policy == "static":
+        if policy == "static":
             limit = self.config.capacity - self.config.static_reserve
-            return used + spec.bandwidth <= limit + 1e-9
+            return used + bandwidth <= limit + 1e-9
         other = "s" if cell == "q" else "q"
         return self._admission.admit_new(
             ctype, self.counts[cell], self.counts[other]

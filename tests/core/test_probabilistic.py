@@ -1,5 +1,6 @@
 """Tests for the Section 6.3 probabilistic reservation algorithm."""
 
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from repro.core import (
     stay_probability,
     weighted_binomial_sum_pmf,
 )
+from repro.core.probabilistic import _binomial_pmf, _expanded_pmf
 
 #: Figure 6's two connection types: (bandwidth, mu, handoff probability).
 FIG6_TYPES = [(1.0, 5.0, 0.7), (4.0, 4.0, 0.7)]
@@ -73,6 +75,58 @@ def test_pmf_fractional_bandwidths_scaled():
 def test_pmf_empty_groups():
     pmf, unit = weighted_binomial_sum_pmf([])
     assert list(pmf) == [1.0]
+
+
+def test_pmf_negative_count_rejected():
+    with pytest.raises(ValueError):
+        weighted_binomial_sum_pmf([(1.0, -1, 0.5)])
+    with pytest.raises(ValueError):
+        weighted_binomial_sum_pmf([(1.0, 3, 0.5), (4.0, -2, 0.5)])
+
+
+def test_memoised_pmfs_are_read_only():
+    for array in (_binomial_pmf(5, 0.3), _expanded_pmf(5, 0.3, 4)):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    # The pmf handed to callers is their own, even for a single group.
+    pmf, _ = weighted_binomial_sum_pmf([(4.0, 5, 0.3)])
+    assert pmf.flags.writeable
+    pmf[0] = 0.0
+    assert _expanded_pmf(5, 0.3, 4)[0] == pytest.approx(0.7**5)
+
+
+def _brute_force_pmf(groups, unit):
+    """Enumerate every outcome of the independent binomials."""
+    pmf = {}
+    ranges = [range(n + 1) for _, n, _ in groups]
+    for outcome in itertools.product(*ranges):
+        prob, load = 1.0, 0
+        for (b, n, p), k in zip(groups, outcome):
+            prob *= math.comb(n, k) * p**k * (1 - p) ** (n - k)
+            load += round(b * k / unit)
+        pmf[load] = pmf.get(load, 0.0) + prob
+    return [pmf.get(k, 0.0) for k in range(max(pmf) + 1)]
+
+
+@pytest.mark.parametrize(
+    "groups",
+    [
+        [(1.0, 3, 0.4), (4.0, 2, 0.7)],
+        [(1.0, 4, 0.9), (1.0, 2, 0.1), (4.0, 1, 0.5), (4.0, 0, 0.5)],
+        [(0.5, 3, 0.25), (2.0, 2, 0.6)],
+        [(2.0, 3, 0.0), (1.0, 2, 1.0)],
+    ],
+)
+def test_pmf_same_fresh_and_warm(groups):
+    _binomial_pmf.cache_clear()
+    _expanded_pmf.cache_clear()
+    fresh, unit = weighted_binomial_sum_pmf(groups)
+    warm, warm_unit = weighted_binomial_sum_pmf(groups)
+    assert _expanded_pmf.cache_info().hits > 0
+    assert unit == warm_unit
+    assert np.array_equal(fresh, warm)
+    assert list(fresh) == pytest.approx(_brute_force_pmf(groups, unit), abs=1e-12)
 
 
 def test_nonblocking_probability_extremes():
@@ -200,6 +254,19 @@ class TestProbabilisticAdmission:
     def test_reservation_for_uses_eqn7(self):
         admission = self.make()
         assert admission.reservation_for([20, 3]) == pytest.approx(8.0)
+
+    def test_instances_do_not_share_pnb(self):
+        """The P_nb memo is per instance: another window gives other values."""
+        narrow, wide = self.make(window=0.02), self.make(window=0.2)
+        local, neighbor = [20, 3], [25, 4]
+        p_narrow = narrow.nonblocking(local, neighbor)
+        p_wide = wide.nonblocking(local, neighbor)
+        assert p_narrow != p_wide
+        for admission, p_nb in ((narrow, p_narrow), (wide, p_wide)):
+            assert p_nb == nonblocking_probability(
+                40.0, admission.survival_groups(local, neighbor)
+            )
+            assert list(admission._cache.values()) == [p_nb]
 
     def test_nonblocking_memoized(self):
         admission = self.make()

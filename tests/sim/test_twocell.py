@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import TwoCellConfig, TwoCellSimulator, figure6_config
+from repro.traffic import TypeSpec
 
 
 def run(policy="plain", horizon=120.0, seed=3, **kw):
@@ -46,18 +47,37 @@ def test_bandwidth_never_exceeds_capacity():
     config = figure6_config(policy="plain", horizon=60.0, seed=2)
     sim = TwoCellSimulator(config)
 
+    bandwidths = [t.bandwidth for t in config.types]
+
     violations = []
+    mismatches = []
 
     def monitor():
         while True:
             yield sim.env.timeout(0.05)
             for cell in sim.CELLS:
-                if sim._bandwidth_used(cell) > config.capacity + 1e-9:
+                used = sim._bandwidth_used(cell)
+                if used > config.capacity + 1e-9:
                     violations.append(sim.env.now)
+                # The occupancy must equal a fresh per-type sum bit for bit.
+                if used != sum(n * b for n, b in zip(sim.counts[cell], bandwidths)):
+                    mismatches.append((sim.env.now, cell))
 
     sim.env.process(monitor())
     sim.run()
     assert violations == []
+    assert mismatches == []
+
+
+def test_long_handoff_chains_complete():
+    """A connection that almost always hands off lives through thousands of
+    residencies; the residency process must not grow a frame per handoff."""
+    sticky = TypeSpec(
+        bandwidth=1.0, arrival_rate=1.0, holding_mean=0.2, handoff_prob=0.9999
+    )
+    config = TwoCellConfig(types=(sticky,), policy="plain", horizon=400.0, seed=3)
+    result = TwoCellSimulator(config).run()
+    assert result.stats.handoff_attempts > 1000
 
 
 def test_static_policy_blocks_more_drops_less_than_plain():
