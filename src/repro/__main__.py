@@ -6,7 +6,6 @@ Usage::
     python -m repro table2               # run one experiment, print it
     python -m repro figure5
     python -m repro --jobs 4 figure6     # parallel sweep execution
-    python -m repro figure4 --backend distributed --nodes 4  # multi-node sweep
     python -m repro all                  # run everything (slow)
     python -m repro campus --portables 100000   # campus-scale stress run
     python -m repro cache stats          # inspect the result cache
@@ -19,14 +18,15 @@ Usage::
     python -m repro trace spans spans.jsonl.gz      # render the span tree
     python -m repro --profile prof.pstats.gz table2 # profile the workers
     python -m repro trace profile prof.pstats.gz    # aggregated hotspots
-    python -m repro monitor RUN_DIR --follow        # watch a distributed run
 
 Sweep-style experiments dispatch through
 :class:`repro.runtime.ExperimentRunner`; ``--jobs N`` (or the
 ``REPRO_JOBS`` environment variable) fans replications out over a process
 pool, and ``--cache`` persists per-config results under
-``benchmarks/.cache/`` so re-runs only simulate new points.  Results are
-bit-identical regardless of the worker count.
+``benchmarks/.cache/`` so re-runs only simulate new points.  Each point
+is stored as it finishes, so a killed or failed ``--cache`` sweep resumes
+where it stopped.  Results are bit-identical regardless of the worker
+count.
 
 Fault tolerance: ``--max-retries N`` re-attempts failing replications
 with exponential backoff, ``--timeout S`` cancels and reschedules
@@ -44,11 +44,10 @@ merges the snapshots deterministically, so observed output is identical
 at any worker count.
 
 Runtime observability: ``--spans PATH`` records hierarchical wall-clock
-spans (sweep → node → chunk → replication → attempt) whose *structure*
-is byte-identical at any ``--jobs``/``--nodes`` placement, and
-``--profile PATH`` runs every replication under cProfile and aggregates
-the stats deterministically across workers and nodes.  ``python -m
-repro monitor RUN_DIR`` watches a distributed run directory live.
+spans (sweep → replication → attempt) whose *structure* is
+byte-identical at any ``--jobs``, and ``--profile PATH`` runs every
+replication under cProfile and aggregates the stats deterministically
+across workers.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from .runtime import ExperimentRunner, ResultCache, drop_failures, parse_size
 
@@ -75,38 +74,12 @@ def _add_des_core_flag(parser: argparse.ArgumentParser) -> None:
 
 def _apply_des_core(args: argparse.Namespace) -> None:
     """Publish ``--des-core`` through ``REPRO_DES_NATIVE`` so every
-    ``make_environment()`` — in this process, pool workers, and
-    distributed node workers alike — sees the same selection."""
+    ``make_environment()`` — in this process and in worker processes
+    alike — sees the same selection."""
     if getattr(args, "des_core", None) is not None:
         from .des import NATIVE_ENV
 
         os.environ[NATIVE_ENV] = args.des_core
-
-
-def _add_node_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--nodes", type=int, default=None, metavar="N",
-        help="node workers for --backend distributed (default 2)",
-    )
-    parser.add_argument(
-        "--node-jobs", default=None, metavar="N",
-        help="worker processes inside each distributed node (default 1)",
-    )
-
-
-def _node_options(
-    parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> Dict[str, Any]:
-    """The runner options ``--nodes`` / ``--node-jobs`` set; refused
-    unless ``--backend distributed``, the only backend they apply to."""
-    options = {
-        key: value
-        for key, value in (("nodes", args.nodes), ("node_jobs", args.node_jobs))
-        if value is not None
-    }
-    if options and args.backend != "distributed":
-        parser.error("--nodes and --node-jobs require --backend distributed")
-    return options
 
 
 def _table2(runner: ExperimentRunner) -> str:
@@ -343,10 +316,9 @@ def _campus_main(argv: List[str]) -> int:
         "default: $REPRO_JOBS, else 1)",
     )
     parser.add_argument(
-        "--backend", choices=("serial", "process", "distributed"), default=None,
+        "--backend", choices=("serial", "process"), default=None,
         help="execution backend (default: serial for --jobs 1, else process)",
     )
-    _add_node_flags(parser)
     parser.add_argument(
         "--stats", action="store_true",
         help="print run telemetry (wall times, in-worker DES events/sec, "
@@ -360,11 +332,7 @@ def _campus_main(argv: List[str]) -> int:
     args = parser.parse_args(argv)
     _apply_des_core(args)
 
-    runner = ExperimentRunner(
-        jobs=args.jobs,
-        backend=args.backend,
-        **_node_options(parser, args),
-    )
+    runner = ExperimentRunner(jobs=args.jobs, backend=args.backend)
     configs = [
         {
             "seed": args.seed + i,
@@ -489,10 +457,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _campus_main(argv[1:])
     if argv and argv[0] == "trace":
         return _trace_main(argv[1:])
-    if argv and argv[0] == "monitor":
-        from .obs.monitor import main as monitor_main
-
-        return monitor_main(argv[1:])
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -511,15 +475,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         "default: $REPRO_JOBS, else 1)",
     )
     parser.add_argument(
-        "--backend", choices=("serial", "process", "distributed"), default=None,
+        "--backend", choices=("serial", "process"), default=None,
         help="execution backend (default: serial for --jobs 1, else process; "
-        "'distributed' shards sweeps across --nodes node workers with "
-        "resumable job manifests — see docs/DISTRIBUTED.md)",
+        "'serial' runs in-process and takes --jobs 1, 'process' runs every "
+        "replication in a worker process)",
     )
-    _add_node_flags(parser)
     parser.add_argument(
         "--cache", action="store_true",
-        help="reuse previously simulated sweep points from benchmarks/.cache/",
+        help="reuse previously simulated sweep points from benchmarks/.cache/ "
+        "(each point is stored as it finishes, so an interrupted sweep "
+        "resumes with only the missing points)",
     )
     parser.add_argument(
         "--max-retries", type=int, default=0, metavar="N",
@@ -549,9 +514,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--spans", default=None, metavar="PATH",
-        help="record hierarchical runtime spans (sweep → node → chunk → "
-        "replication → attempt) to a JSONL file ('.gz' compresses); span "
-        "structure is identical at any --jobs/--nodes placement",
+        help="record hierarchical runtime spans (sweep → replication → "
+        "attempt) to a JSONL file ('.gz' compresses); span structure is "
+        "identical at any --jobs",
     )
     parser.add_argument(
         "--profile", default=None, metavar="PATH",
@@ -580,7 +545,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     runner = ExperimentRunner(
         jobs=args.jobs,
         backend=args.backend,
-        **_node_options(parser, args),
         cache=ResultCache() if args.cache else None,
         max_retries=args.max_retries,
         timeout=args.timeout,

@@ -86,8 +86,8 @@ _WALL_CLOCK_CALLS = {
 #: Wall-clock *stamp* producers for REP304.  Deliberately excludes the
 #: monotonic family (``time.monotonic``/``time.perf_counter``) — those are
 #: the fix, not the offence: they cannot jump, so differences between them
-#: are honest durations.  Stamping a wall time into a record (heartbeat
-#: ``updated_at``, log timestamps) is fine; *subtracting* two wall stamps
+#: are honest durations.  Stamping a wall time into a record (run
+#: metadata, log timestamps) is fine; *subtracting* two wall stamps
 #: to measure elapsed time is the bug this rule catches.
 _WALLCLOCK_STAMP_CALLS = {
     "time.time",
@@ -290,7 +290,7 @@ class WallClockDurationChecker(Checker):
     """Durations computed from wall-clock stamps in engine/obs code.
 
     Engine and observability code legitimately *records* wall-clock
-    stamps (heartbeat ``updated_at`` fields, run metadata), so unlike
+    stamps (run metadata, log timestamps), so unlike
     REP003 this rule does not ban the calls outright.  It flags the
     arithmetic: a subtraction or comparison whose operand is a wall-clock
     stamp — either a direct ``time.time()``-family call, or a local name

@@ -1,14 +1,16 @@
 """``ExperimentRunner``: dispatch independent simulation configs.
 
-The runner owns *how* a sweep executes (in-process, in worker processes,
-or across distributed nodes), never *what* it computes: workers receive a
-module-level function plus one picklable config and return one picklable
-result.  Submission order is preserved, failures surface as
-:class:`WorkerError` with the failing config attached, and an optional
+The runner owns *how* a sweep executes (in-process or in worker
+processes), never *what* it computes: workers receive a module-level
+function plus one picklable config and return one picklable result.
+Submission order is preserved, failures surface as :class:`WorkerError`
+with the failing config attached, and an optional
 :class:`~repro.runtime.cache.ResultCache` short-circuits configs that were
-already simulated.
+already simulated.  Each successful replication is stored in that cache
+as it settles, so a sweep that is killed or fails hard re-runs only the
+configs that had not settled yet.
 
-There are two local placements and one failure policy:
+There are two placements and one failure policy:
 
 * ``"serial"`` runs every attempt in the coordinator process;
 * ``"process"`` keeps up to ``jobs`` long-lived worker processes, each on
@@ -86,10 +88,7 @@ from ..obs.telemetry import RunTelemetry
 from ..obs.trace import RingBufferSink, Tracer, get_tracer, replay_records, set_tracer
 
 if TYPE_CHECKING:
-    from pathlib import Path
-
     from .cache import ResultCache
-    from .distributed import NodeTransport
 
 __all__ = [
     "JOBS_ENV",
@@ -419,19 +418,16 @@ class ExperimentRunner:
     jobs:
         Worker count (see :func:`resolve_jobs`).
     backend:
-        ``"serial"``, ``"process"``, or ``"distributed"``; defaults to
-        ``"process"`` when ``jobs > 1``, else ``"serial"``.  ``"serial"``
-        runs every attempt in-process and refuses ``jobs > 1``;
-        ``"process"`` runs every attempt in a worker process, even at
-        ``jobs=1`` or for a single config.  The distributed backend shards
-        each batch across ``nodes`` node-worker processes through a
-        content-hash-keyed job manifest (see
-        :mod:`repro.runtime.distributed`); results stay bit-identical to
-        serial execution and interrupted sweeps resume from their
-        completed chunk files.
+        ``"serial"`` or ``"process"``; defaults to ``"process"`` when
+        ``jobs > 1``, else ``"serial"``.  ``"serial"`` runs every attempt
+        in-process and refuses ``jobs > 1``; ``"process"`` runs every
+        attempt in a worker process, even at ``jobs=1`` or for a single
+        config.
     cache:
         Optional :class:`~repro.runtime.cache.ResultCache`; hits skip
-        simulation entirely.  Failed sweep points are never cached.
+        simulation entirely.  Each successful replication is stored as it
+        settles, so an interrupted sweep resumes from the settled ones.
+        Failed sweep points are never cached.
     max_retries:
         Failed attempts allowed per config beyond the first (default 0:
         one attempt, fail hard — the pre-fault-tolerance behavior).
@@ -454,36 +450,8 @@ class ExperimentRunner:
         Run every replication under :mod:`cProfile` *in the worker*; the
         raw stats ride back with each observation snapshot and fold into
         :attr:`profile_stats` in submission order, so the aggregate is
-        deterministic at any ``--jobs``/``--nodes``
+        deterministic at any ``--jobs``
         (``python -m repro trace profile`` renders it).
-    on_progress:
-        Optional ``(RunTelemetry) -> None`` callback invoked after every
-        replication settles (success or final failure).  The distributed
-        node worker hooks this to publish heartbeat files; the callback
-        must not raise.
-    span_context:
-        Parent span id adopted instead of minting a ``sweep`` span.  Used
-        by in-node runners so distributed replication spans parent under
-        the coordinator's sweep; leave None otherwise.
-    nodes:
-        Node-worker count for the distributed backend (default 2).
-    node_jobs:
-        Worker processes *inside* each node (default 1; accepts the same
-        forms as ``jobs``).
-    run_root:
-        Directory holding distributed run directories (default
-        ``benchmarks/.distrun`` or ``$REPRO_DISTRIBUTED_DIR``).
-    node_timeout:
-        Seconds a node may go without publishing a new chunk file before
-        the coordinator cancels it and re-shards its missing chunks
-        (default None: wait forever).
-    max_node_restarts:
-        Re-shard rounds allowed after the first before the coordinator
-        gives up with :class:`~repro.runtime.distributed.DistributedRunError`
-        (the run directory is kept, so a re-submission resumes).
-    node_transport:
-        A :class:`~repro.runtime.distributed.NodeTransport` override; the
-        default launches local ``repro.runtime.node_worker`` subprocesses.
     sleep, clock:
         Injectable time sources (tests replace them to assert backoff
         schedules without real sleeping).
@@ -500,33 +468,17 @@ class ExperimentRunner:
         partial: bool = False,
         trace_capacity: int = DEFAULT_TRACE_CAPACITY,
         profile: bool = False,
-        on_progress: Optional[Callable[[RunTelemetry], None]] = None,
-        span_context: Optional[str] = None,
-        nodes: int = 2,
-        node_jobs: Union[int, str, None] = 1,
-        run_root: Union[str, "Path", None] = None,
-        node_timeout: Optional[float] = None,
-        max_node_restarts: int = 2,
-        node_transport: Optional["NodeTransport"] = None,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
     ):
         self.jobs = resolve_jobs(jobs)
         if backend is None:
             backend = "process" if self.jobs > 1 else "serial"
-        if backend not in ("serial", "process", "distributed"):
+        if backend not in ("serial", "process"):
             raise ValueError(f"unknown backend {backend!r}")
         if backend == "serial" and self.jobs > 1:
             raise ValueError(
                 f"backend 'serial' runs in-process and takes jobs=1, got {self.jobs}"
-            )
-        if int(nodes) != nodes or nodes < 1:
-            raise ValueError(f"nodes must be an int >= 1, got {nodes!r}")
-        if node_timeout is not None and node_timeout <= 0:
-            raise ValueError(f"node_timeout must be > 0 seconds, got {node_timeout!r}")
-        if int(max_node_restarts) != max_node_restarts or max_node_restarts < 0:
-            raise ValueError(
-                f"max_node_restarts must be an int >= 0, got {max_node_restarts!r}"
             )
         if int(max_retries) != max_retries or max_retries < 0:
             raise ValueError(f"max_retries must be an int >= 0, got {max_retries!r}")
@@ -542,14 +494,6 @@ class ExperimentRunner:
         self.partial = bool(partial)
         self.trace_capacity = int(trace_capacity)
         self.profile = bool(profile)
-        self.on_progress = on_progress
-        self.span_context = span_context
-        self.nodes = int(nodes)
-        self.node_jobs = resolve_jobs(node_jobs)
-        self.run_root = run_root
-        self.node_timeout = node_timeout
-        self.max_node_restarts = int(max_node_restarts)
-        self.node_transport = node_transport
         self._sleep = sleep
         self._clock = clock
         self._span_ledger: Optional[SpanLedger] = None
@@ -576,9 +520,11 @@ class ExperimentRunner:
         ``fn`` must be a module-level callable and each config picklable
         when the process backend is active.  Under ``partial=True`` the
         returned list may contain :class:`FailedResult` sentinels at the
-        submission indices of exhausted configs.  ``label`` is a
-        human-readable sweep name recorded in distributed job manifests
-        (experiment drivers pass their figure/table name).
+        submission indices of exhausted configs.  ``label`` names the
+        batch's ``sweep`` span (experiment drivers pass their figure/table
+        name).  With a cache, each result is stored as soon as its
+        replication succeeds, so configs that settled before a
+        :class:`WorkerError` (or a kill) are hits on the next run.
         """
         configs = list(configs)
         results: List[Any] = [None] * len(configs)
@@ -599,24 +545,19 @@ class ExperimentRunner:
             pending = missing
 
         # One sweep span roots this batch's replication spans.  The id
-        # derives from the batch counter alone (placement-independent);
-        # in-node runners adopt the coordinator's id via ``span_context``
-        # and emit no sweep span of their own.
+        # derives from the batch counter alone (placement-independent).
         collector = get_span_collector()
-        sweep_id = self.span_context or sweep_span_id(self.telemetry.batches - 1)
-        own_sweep = collector is not None and self.span_context is None
+        sweep_id = sweep_span_id(self.telemetry.batches - 1)
         sweep_status = "ok"
         try:
             if pending:
                 obs = self._obs_request()
                 computed = self._execute(
                     fn, [configs[i] for i in pending], pending, obs,
-                    label=label, span_parent=sweep_id,
+                    span_parent=sweep_id,
                 )
                 for i, (value, _snapshot) in zip(pending, computed):
                     results[i] = value
-                    if self.cache is not None and not isinstance(value, FailedResult):
-                        self.cache.put(fn, configs[i], value)
                 if obs is not None:
                     self._merge_observations(pending, computed)
         except BaseException:
@@ -625,8 +566,7 @@ class ExperimentRunner:
         finally:
             elapsed = time.perf_counter() - started
             self.telemetry.elapsed += elapsed
-            if own_sweep:
-                assert collector is not None
+            if collector is not None:
                 collector.emit(
                     Span(
                         span_id=sweep_id,
@@ -698,11 +638,6 @@ class ExperimentRunner:
             if snapshot.profile:
                 merge_profile_stats(self._profile_stats, snapshot.profile)
 
-    def _progress(self) -> None:
-        """Invoke the heartbeat callback after a replication settles."""
-        if self.on_progress is not None:
-            self.on_progress(self.telemetry)
-
     # -- backends ---------------------------------------------------------
 
     def _execute(
@@ -711,17 +646,10 @@ class ExperimentRunner:
         configs: List[Any],
         indices: List[int],
         obs: Optional[ObsRequest],
-        label: Optional[str] = None,
-        span_parent: Optional[str] = None,
+        span_parent: str,
     ) -> List[Tuple[Any, Optional[ObsSnapshot]]]:
-        if self.backend == "distributed":
-            from .distributed import DistributedCoordinator
-
-            return DistributedCoordinator(self).execute(
-                fn, configs, indices, obs, label=label, span_parent=span_parent
-            )
         collector = get_span_collector()
-        if collector is not None and span_parent is not None:
+        if collector is not None:
             self._span_ledger = SpanLedger(collector, span_parent)
         try:
             if self.backend == "process":
@@ -731,14 +659,20 @@ class ExperimentRunner:
             self._span_ledger = None
 
     def _settle(
-        self, config: Any, index: int, attempts: int, message: _Message
+        self,
+        fn: Callable[[Any], Any],
+        config: Any,
+        index: int,
+        attempts: int,
+        message: _Message,
     ) -> Optional[Tuple[Any, Optional[ObsSnapshot]]]:
         """Apply the failure policy to one finished attempt.
 
         Returns the config's ``(value, snapshot)`` slot once it is settled
         (its result, or a :class:`FailedResult` under ``partial``), None
         when it should be retried, and raises :class:`WorkerError` once
-        its attempts are exhausted otherwise.
+        its attempts are exhausted otherwise.  A successful result goes
+        into the cache here, before any later config can fail the sweep.
         """
         ok, value, elapsed, events, cores, snapshot = message
         ledger = self._span_ledger
@@ -747,7 +681,8 @@ class ExperimentRunner:
                 ledger.attempt(index, "ok", elapsed)
                 ledger.settle(index, "ok")
             self.telemetry.record_replication(elapsed, events, cores)
-            self._progress()
+            if self.cache is not None:
+                self.cache.put(fn, config, value)
             return value, snapshot
         cause, tb = value
         if isinstance(cause, ReplicationTimeout):
@@ -766,7 +701,6 @@ class ExperimentRunner:
         self.telemetry.failures += 1
         if ledger is not None:
             ledger.settle(index, "failed")
-        self._progress()
         if self.partial:
             return FailedResult(config, index, attempts, repr(cause), tb), None
         raise WorkerError(config, index, cause, tb, attempts=attempts) from cause
@@ -813,7 +747,7 @@ class ExperimentRunner:
             while True:
                 attempts += 1
                 message = self._attempt_with_alarm((fn, config, obs))
-                settled = self._settle(config, index, attempts, message)
+                settled = self._settle(fn, config, index, attempts, message)
                 if settled is not None:
                     out.append(settled)
                     break
@@ -859,7 +793,9 @@ class ExperimentRunner:
 
         def settle(pos: int, message: _Message) -> None:
             nonlocal done
-            settled = self._settle(configs[pos], indices[pos], attempts[pos], message)
+            settled = self._settle(
+                fn, configs[pos], indices[pos], attempts[pos], message
+            )
             if settled is not None:
                 results[pos] = settled
                 done += 1

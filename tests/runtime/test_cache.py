@@ -6,9 +6,14 @@ import os
 
 import pytest
 
+from repro.obs import SpanCollector, use_span_collector
 from repro.runtime import (
     ExperimentRunner,
+    FailedResult,
+    FaultInjector,
+    FaultSpec,
     ResultCache,
+    WorkerError,
     config_key,
     default_cache_dir,
     parse_size,
@@ -250,6 +255,62 @@ def test_runner_without_cache_always_computes(tmp_path):
     assert counter.read_text().count("x") == 4
 
 
+# -- resume: results are cached as they settle ------------------------------
+
+RESUME_CONFIGS = [1, 2, 3, 4, 5, 6]
+#: The last config fails, so at least ``len - jobs`` configs settle first.
+FAILING_CONFIG = 6
+#: (backend, jobs): the serial backend takes one job, the process two.
+BACKENDS = [("serial", 1), ("process", 2)]
+
+
+def _settled_ok(spans):
+    """Configs whose replication span settled ``ok`` (positions -> configs)."""
+    return {
+        RESUME_CONFIGS[s.attrs["position"]]
+        for s in spans
+        if s.kind == "replication" and s.status == "ok"
+    }
+
+
+@pytest.mark.parametrize("backend,jobs", BACKENDS)
+def test_interrupted_sweep_resumes_from_settled_configs(tmp_path, backend, jobs):
+    """A fail-hard ``--cache`` sweep keeps every result that settled before
+    the failure, so a re-run simulates only the unsettled configs; under
+    ``partial`` the failed point stays uncached."""
+    injector = FaultInjector(
+        _double, {FAILING_CONFIG: FaultSpec("raise", attempts=2)},
+        tmp_path / "faults",
+    )
+    cache = ResultCache(root=tmp_path / "cache")
+    collector = SpanCollector()
+    with use_span_collector(collector), pytest.raises(WorkerError) as excinfo:
+        ExperimentRunner(jobs=jobs, backend=backend, cache=cache).run_many(
+            injector, RESUME_CONFIGS
+        )
+    assert excinfo.value.config == FAILING_CONFIG
+    settled = _settled_ok(collector.spans())
+    assert len(settled) >= len(RESUME_CONFIGS) - jobs
+    assert FAILING_CONFIG not in settled
+    for config in RESUME_CONFIGS:
+        assert cache.get(_double, config)[0] == (config in settled), config
+
+    # The fault fires once more: a partial run fills in everything else.
+    partial = ExperimentRunner(jobs=jobs, backend=backend, cache=cache, partial=True)
+    results = partial.run_many(injector, RESUME_CONFIGS)
+    assert isinstance(results[-1], FailedResult)
+    assert partial.telemetry.cache_hits == len(settled)
+    assert not cache.get(_double, FAILING_CONFIG)[0]
+    assert len(cache) == len(RESUME_CONFIGS) - 1
+
+    rerun = ExperimentRunner(jobs=jobs, backend=backend, cache=cache)
+    assert rerun.run_many(_double, RESUME_CONFIGS) == [
+        2 * c for c in RESUME_CONFIGS
+    ]
+    assert rerun.telemetry.cache_hits == len(RESUME_CONFIGS) - 1
+    assert rerun.telemetry.replications == 1
+
+
 # -- size parsing -----------------------------------------------------------
 
 
@@ -381,7 +442,7 @@ def test_stats_snapshot(tmp_path):
 
 # -- concurrent-writer tolerance --------------------------------------------
 #
-# Distributed node workers share one cache directory: several processes
+# Concurrent sweeps can share one cache directory: several processes
 # get/put/prune concurrently with no lock.  The store tolerates that
 # instead of locking — these regressions pin the three races that used to
 # lose live entries (or crash) under concurrency.

@@ -77,22 +77,6 @@ def test_negative_max_retries_rejected():
         main(["--max-retries", "-1", "table2"])
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["--nodes", "3", "table2"],
-        ["--node-jobs", "2", "--backend", "process", "table2"],
-        ["campus", "--nodes", "3", "--portables", "100"],
-        ["campus", "--node-jobs", "2", "--portables", "100"],
-    ],
-)
-def test_node_flags_require_distributed_backend(argv, capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(argv)
-    assert excinfo.value.code == 2
-    assert "require --backend distributed" in capsys.readouterr().err
-
-
 # -- cache subcommand -------------------------------------------------------
 
 
