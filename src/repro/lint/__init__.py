@@ -24,10 +24,17 @@ Rule families (see ``docs/LINT.md`` for the full catalogue):
 ``REP3xx`` simulation hygiene
     no ``==``/``!=`` on float sim-clock expressions, no bare ``except:``
     in engine/runtime code.
+``REP4xx`` state shared across replications
+    no seeded RNG created at import time, no module state mutated by a
+    same-module registered plugin, no class attribute mutated through the
+    class name.
+
+Every rule looks at one module at a time; a run is one serial pass over
+the discovered files.
 
 Usage::
 
-    python -m repro.lint [paths] [--select/--ignore/--baseline/--format]
+    python -m repro.lint [paths] [--select/--ignore/--format/--list-rules]
 
 Per-line suppression::
 

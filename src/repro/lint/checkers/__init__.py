@@ -4,9 +4,9 @@ from . import (  # noqa: F401
     des,
     determinism,
     hygiene,
-    interprocedural,
     pickle_safety,
     scale,
+    shared_state,
 )
 from .base import Checker, ModuleContext, annotate_parents
 

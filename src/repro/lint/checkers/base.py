@@ -2,9 +2,10 @@
 
 Every checker is an :class:`ast.NodeVisitor` over one module.  The runner
 annotates each node with a ``.parent`` backlink before visiting, and
-:class:`Checker` pre-computes the module's import alias table so rules can
-match *resolved* dotted names (``np.random.seed`` and
-``from numpy.random import seed`` both resolve to ``numpy.random.seed``).
+:class:`ModuleContext` builds the module's import alias table once, shared
+by every checker, so rules can match *resolved* dotted names
+(``np.random.seed`` and ``from numpy.random import seed`` both resolve to
+``numpy.random.seed``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,17 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from ..config import LintConfig
 from ..findings import Finding
 
-__all__ = ["Checker", "ModuleContext", "annotate_parents", "dotted_parts"]
+__all__ = [
+    "Checker",
+    "ModuleContext",
+    "annotate_parents",
+    "dotted_parts",
+    "module_name_for",
+]
+
+#: Directory/file name markers of test modules: their fixtures deliberately
+#: violate rules, so the module-state rules (REP401, REP404) skip them.
+_TEST_PARTS = {"tests", "test", "conftest.py"}
 
 
 def annotate_parents(tree: ast.AST) -> None:
@@ -39,27 +50,52 @@ def dotted_parts(node: ast.AST) -> Optional[List[str]]:
     return None
 
 
+def module_name_for(path: str) -> str:
+    """Dotted module name for a repo-relative path.
+
+    Everything up to and including a ``src`` component is stripped, so
+    ``src/repro/core/manager.py`` -> ``repro.core.manager`` and a fixture
+    tree ``fixtures/proj/src/repro/sim/a.py`` -> ``repro.sim.a``.  Paths
+    without a ``src`` component keep their full dotted form.
+    """
+    parts = path.replace("\\", "/").split("/")
+    if parts and parts[-1].endswith(".py"):
+        parts[-1] = parts[-1][: -len(".py")]
+    # Strip up to the *last* "src" component so nested fixture trees work.
+    for i in range(len(parts) - 1, -1, -1):
+        if parts[i] == "src":
+            parts = parts[i + 1:]
+            break
+    if parts and parts[-1] == "__init__":
+        parts = parts[:-1]
+    return ".".join(p for p in parts if p)
+
+
 class ModuleContext:
     """Everything a checker needs to know about the module under lint.
 
-    ``facts`` carries the cross-module :class:`ProjectFacts` when the
-    module is linted as part of a full ``lint_paths`` run; single-module
-    entry points (``lint_source``) leave it ``None`` and the per-file rules
-    degrade to their local knowledge.
+    ``imports`` maps local alias -> dotted origin for ``import x [as y]``,
+    ``from m import n [as y]`` and relative ``from . import n`` forms; it is
+    built once per module and read by every checker.
     """
 
     def __init__(self, path: str, source: str, tree: ast.Module,
-                 config: LintConfig, facts: Optional[object] = None):
+                 config: LintConfig):
         self.path = path  # forward-slash relative path
         self.source = source
         self.tree = tree
         self.config = config
-        self.facts = facts
         self.lines = source.splitlines()
         self.in_sim_package = self._in_packages(config.sim_packages)
         self.in_engine_package = self._in_packages(config.engine_packages)
         self.module_name = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
         self.is_entry_module = self.module_name in config.entry_points
+        parts = path.split("/")
+        self.is_test = any(p in _TEST_PARTS for p in parts) or (
+            parts[-1].startswith("test_") or parts[-1].endswith("_test.py")
+        )
+        self.imports: Dict[str, str] = _collect_imports(tree)
+        self.imports.update(_collect_relative_imports(tree, path))
 
     def _in_packages(self, packages: Tuple[str, ...]) -> bool:
         haystack = "/" + self.path.strip("/") + "/"
@@ -71,21 +107,61 @@ class ModuleContext:
         return ""
 
 
+def _collect_imports(tree: ast.Module) -> Dict[str, str]:
+    table: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                table[alias.asname or alias.name.split(".")[0]] = (
+                    alias.name if alias.asname else alias.name.split(".")[0]
+                )
+                if alias.asname is None and "." in alias.name:
+                    # ``import numpy.random`` binds ``numpy``.
+                    table[alias.name.split(".")[0]] = alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:  # resolved separately, against the path
+                continue
+            module = node.module or ""
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                table[alias.asname or alias.name] = f"{module}.{alias.name}"
+    return table
+
+
+def _collect_relative_imports(tree: ast.Module, path: str) -> Dict[str, str]:
+    """alias -> dotted origin for ``from . import x`` style imports,
+    anchored on the module's own dotted name (derived from its path)."""
+    parts = module_name_for(path).split(".")
+    table: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or not node.level:
+            continue
+        if node.level >= len(parts) + 1:
+            continue  # escapes the visible tree; leave unresolved
+        base = parts[: len(parts) - node.level]
+        if node.module:
+            base = base + node.module.split(".")
+        for alias in node.names:
+            if alias.name == "*":
+                continue
+            table[alias.asname or alias.name] = ".".join(base + [alias.name])
+    return table
+
+
 class Checker(ast.NodeVisitor):
     """Base class for all rule checkers.
 
     Subclasses call :meth:`report` with a rule id, the offending node, and a
-    message.  ``self.ctx`` carries the module context; ``self.imports`` maps
-    local alias -> dotted origin for both ``import x [as y]`` and
-    ``from m import n [as y]`` forms.
+    message.  ``self.ctx`` carries the module context; ``self.imports`` is
+    its shared import alias table.
     """
 
     def __init__(self, ctx: ModuleContext, active_rules: Tuple[str, ...]):
         self.ctx = ctx
         self.active = frozenset(active_rules)
         self.findings: List[Finding] = []
-        self.imports: Dict[str, str] = self._collect_imports(ctx.tree)
-        self.imports.update(self._collect_relative_imports(ctx))
+        self.imports: Dict[str, str] = ctx.imports
         self._func_stack: List[ast.AST] = []
 
     # -- reporting ----------------------------------------------------------
@@ -103,57 +179,7 @@ class Checker(ast.NodeVisitor):
             )
         )
 
-    # -- imports / name resolution -----------------------------------------
-
-    @staticmethod
-    def _collect_imports(tree: ast.Module) -> Dict[str, str]:
-        table: Dict[str, str] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    table[alias.asname or alias.name.split(".")[0]] = (
-                        alias.name if alias.asname else alias.name.split(".")[0]
-                    )
-                    if alias.asname is None and "." in alias.name:
-                        # ``import numpy.random`` binds ``numpy``.
-                        table[alias.name.split(".")[0]] = alias.name.split(".")[0]
-            elif isinstance(node, ast.ImportFrom):
-                if node.level:  # resolved separately, against the path
-                    continue
-                module = node.module or ""
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    table[alias.asname or alias.name] = f"{module}.{alias.name}"
-        return table
-
-    @staticmethod
-    def _collect_relative_imports(ctx: ModuleContext) -> Dict[str, str]:
-        """alias -> dotted origin for ``from . import x`` style imports.
-
-        Resolution anchors on the module's own dotted name (derived from
-        its path), with the same arithmetic :mod:`repro.lint.project` uses —
-        so names resolved here line up with the project-facts keys.
-        """
-        from ..project import module_name_for
-
-        parts = module_name_for(ctx.path).split(".")
-        table: Dict[str, str] = {}
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ImportFrom) or not node.level:
-                continue
-            if node.level >= len(parts) + 1:
-                continue  # escapes the visible tree; leave unresolved
-            base = parts[: len(parts) - node.level]
-            if node.module:
-                base = base + node.module.split(".")
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                table[alias.asname or alias.name] = ".".join(
-                    base + [alias.name]
-                )
-        return table
+    # -- name resolution ----------------------------------------------------
 
     def resolve(self, node: ast.AST) -> Optional[str]:
         """Resolved dotted name of a Name/Attribute chain, or None.

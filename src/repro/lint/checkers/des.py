@@ -137,30 +137,7 @@ class ProcessArgumentChecker(Checker):
                         f"{getattr(target, 'name', '?')!r}, which contains no "
                         "yield and therefore returns no generator",
                     )
-                elif target is None:
-                    self._check_cross_module(arg)
         self.generic_visit(node)
-
-    def _check_cross_module(self, arg: ast.Call) -> None:
-        """Project facts extend the check across module boundaries.
-
-        Without facts (single-file lint) imported callables stay trusted,
-        as before; with them, a call to a function the project index proves
-        is yield-free is flagged exactly like a same-module one.
-        """
-        facts = self.ctx.facts
-        if facts is None:
-            return
-        dotted = self.resolve(arg.func)
-        if dotted is None:
-            return
-        if facts.kind_of(dotted) == "function":
-            self.report(
-                "REP101", arg,
-                f"env.process() received a call to {dotted!r}, which the "
-                "project index shows contains no yield and therefore "
-                "returns no generator",
-            )
 
 
 @register(REP102, REP103)

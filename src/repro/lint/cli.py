@@ -2,9 +2,9 @@
 
 Exit codes (stable, asserted by tests):
 
-* ``0`` — no findings (after suppressions and baseline),
+* ``0`` — no findings (after suppressions),
 * ``1`` — at least one finding, or a file failed to parse,
-* ``2`` — usage error (unknown rule id, missing path, bad baseline file).
+* ``2`` — usage error (unknown rule id, missing path, bad configuration).
 """
 
 from __future__ import annotations
@@ -12,15 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .baseline import Baseline, BaselineError
-from .cache import DEFAULT_CACHE_DIR, LintCache
 from .config import LintConfig, load_config
 from .registry import all_rules
-from .runner import LintResult, lint_paths, resolve_jobs
-from .sarif import write_sarif
+from .runner import LintResult, lint_paths
 
 __all__ = ["main"]
 
@@ -29,7 +25,7 @@ EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 
 #: Bump only when the --format=json shape changes (schema-tested).
-JSON_FORMAT_VERSION = 1
+JSON_FORMAT_VERSION = 2
 
 
 def _split_rules(values: Optional[List[str]]) -> List[str]:
@@ -58,35 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to skip",
     )
     parser.add_argument(
-        "--baseline", metavar="FILE",
-        help="baseline JSON of grandfathered findings "
-             "(default: [tool.repro-lint] baseline, if the file exists)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any configured baseline",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
+        "--format", choices=("text", "json"), default="text",
         help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--jobs", metavar="N", default=None,
-        help="check files in N parallel processes ('auto' = cores - 1); "
-             "findings are bit-identical to a serial run",
-    )
-    parser.add_argument(
-        "--cache", action="store_true",
-        help="enable the content-hash incremental cache "
-             f"(default dir: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="cache directory (implies --cache)",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -103,30 +72,17 @@ def _validate_rules(rules: Sequence[str]) -> Optional[str]:
     return None
 
 
-def _print_text(result: LintResult, baseline: Optional[Baseline],
-                out) -> None:
+def _print_text(result: LintResult, out) -> None:
     findings = result.sorted_findings()
     for finding in findings:
         print(finding.render(), file=out)
     for path, message in result.parse_errors:
         print(f"{path}: error: {message}", file=out)
-    if baseline is not None:
-        for entry in baseline.stale_entries():
-            print(
-                f"note: stale baseline entry {entry.rule} @ {entry.path} "
-                f"({entry.code!r}) — remove it",
-                file=out,
-            )
     summary = (
         f"{len(findings)} finding(s) in {result.files_checked} file(s)"
     )
-    extras = []
     if result.suppressed:
-        extras.append(f"{result.suppressed} suppressed")
-    if result.baselined:
-        extras.append(f"{result.baselined} baselined")
-    if extras:
-        summary += f" ({', '.join(extras)})"
+        summary += f" ({result.suppressed} suppressed)"
     print(summary, file=out)
 
 
@@ -141,7 +97,6 @@ def _print_json(result: LintResult, out) -> None:
         "counts": dict(sorted(counts.items())),
         "files_checked": result.files_checked,
         "suppressed": result.suppressed,
-        "baselined": result.baselined,
         "errors": [
             {"path": path, "message": message}
             for path, message in result.parse_errors
@@ -178,63 +133,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
 
     config = config.with_overrides(
-        select=select or None,
-        ignore=ignore or None,
-        baseline=args.baseline,
-        no_baseline=args.no_baseline,
+        select=select or None, ignore=ignore or None
     )
 
-    baseline: Optional[Baseline] = None
-    baseline_path: Optional[Path] = None
-    if config.baseline and not args.write_baseline:
-        baseline_path = Path(config.baseline)
-        if args.baseline and not baseline_path.is_file():
-            print(
-                f"error: baseline file not found: {baseline_path}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        if baseline_path.is_file():
-            try:
-                baseline = Baseline.load(baseline_path)
-            except BaselineError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-
     try:
-        jobs = resolve_jobs(args.jobs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    cache: Optional[LintCache] = None
-    if args.cache or args.cache_dir:
-        cache = LintCache(Path(args.cache_dir or DEFAULT_CACHE_DIR))
-
-    try:
-        result = lint_paths(
-            args.paths, config=config, baseline=baseline,
-            jobs=jobs, cache=cache,
-        )
+        result = lint_paths(args.paths, config=config)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    if args.write_baseline:
-        target = Path(config.baseline or "lint-baseline.json")
-        Baseline.write(target, result.findings, result.code_for)
-        print(
-            f"wrote {len(result.findings)} entr"
-            f"{'y' if len(result.findings) == 1 else 'ies'} to {target}",
-        )
-        return EXIT_CLEAN
-
     if args.format == "json":
         _print_json(result, sys.stdout)
-    elif args.format == "sarif":
-        write_sarif(result.sorted_findings(), sys.stdout)
     else:
-        _print_text(result, baseline, sys.stdout)
+        _print_text(result, sys.stdout)
 
     if result.findings or result.parse_errors:
         return EXIT_FINDINGS

@@ -60,7 +60,6 @@ class LintConfig:
     engine_packages: Tuple[str, ...] = DEFAULT_ENGINE_PACKAGES
     entry_points: Tuple[str, ...] = DEFAULT_ENTRY_POINTS
     set_attributes: Tuple[str, ...] = DEFAULT_SET_ATTRIBUTES
-    baseline: Optional[str] = "lint-baseline.json"
 
     def enabled_rules(self, registered: Iterable[str]) -> List[str]:
         """Resolve select/ignore against the registered rule ids."""
@@ -72,18 +71,12 @@ class LintConfig:
         self,
         select: Optional[Sequence[str]] = None,
         ignore: Optional[Sequence[str]] = None,
-        baseline: Optional[str] = None,
-        no_baseline: bool = False,
     ) -> "LintConfig":
         cfg = self
         if select:
             cfg = replace(cfg, select=tuple(select))
         if ignore:
             cfg = replace(cfg, ignore=tuple(cfg.ignore) + tuple(ignore))
-        if no_baseline:
-            cfg = replace(cfg, baseline=None)
-        elif baseline is not None:
-            cfg = replace(cfg, baseline=baseline)
         return cfg
 
 
@@ -123,7 +116,7 @@ def load_config(start: Optional[Path] = None) -> LintConfig:
 
     known = {
         "select", "ignore", "sim-packages", "engine-packages",
-        "entry-points", "set-attributes", "baseline",
+        "entry-points", "set-attributes",
     }
     unknown = set(table) - known
     if unknown:
@@ -146,8 +139,4 @@ def load_config(start: Optional[Path] = None) -> LintConfig:
     if "set-attributes" in table:
         kwargs["set_attributes"] = _as_tuple(
             table["set-attributes"], "set-attributes")
-    if "baseline" in table:
-        if table["baseline"] is not None and not isinstance(table["baseline"], str):
-            raise ValueError("[tool.repro-lint] baseline must be a string")
-        kwargs["baseline"] = table["baseline"]
     return replace(defaults, **kwargs)

@@ -11,8 +11,8 @@ class Finding:
     """One rule violation at one source location.
 
     ``path`` is stored with forward slashes relative to the lint invocation's
-    working directory so findings (and baseline entries) are portable across
-    machines and operating systems.
+    working directory so findings are portable across machines and
+    operating systems.
     """
 
     rule: str

@@ -20,15 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Tuple
 
-__all__ = [
-    "Rule",
-    "register",
-    "register_project",
-    "all_rules",
-    "get_rule",
-    "iter_checkers",
-    "iter_project_checkers",
-]
+__all__ = ["Rule", "register", "all_rules", "get_rule", "iter_checkers"]
 
 
 @dataclass(frozen=True)
@@ -42,44 +34,20 @@ class Rule:
 
 #: rule id -> Rule
 _RULES: Dict[str, Rule] = {}
-#: per-module checker class -> tuple of rule ids it may emit
+#: checker class -> tuple of rule ids it may emit
 _CHECKERS: Dict[type, Tuple[str, ...]] = {}
-#: whole-program checker class -> tuple of rule ids it may emit
-_PROJECT_CHECKERS: Dict[type, Tuple[str, ...]] = {}
-
-
-def _register_rules(rules: Tuple[Rule, ...]) -> Tuple[str, ...]:
-    ids = []
-    for rule in rules:
-        existing = _RULES.get(rule.id)
-        if existing is not None and existing != rule:
-            raise ValueError(f"conflicting registration for rule {rule.id}")
-        _RULES[rule.id] = rule
-        ids.append(rule.id)
-    return tuple(ids)
 
 
 def register(*rules: Rule):
     """Class decorator registering ``rules`` as emitted by the checker."""
 
     def decorate(checker_cls: type) -> type:
-        _CHECKERS[checker_cls] = _register_rules(rules)
-        return checker_cls
-
-    return decorate
-
-
-def register_project(*rules: Rule):
-    """Class decorator for whole-program checkers (the REP4xx family).
-
-    Project checkers run once per lint invocation over the
-    :class:`~repro.lint.context.ProjectContext` instead of once per module
-    — they see the call graph and dataflow summaries, so their rules can
-    cross function and module boundaries.
-    """
-
-    def decorate(checker_cls: type) -> type:
-        _PROJECT_CHECKERS[checker_cls] = _register_rules(rules)
+        for rule in rules:
+            existing = _RULES.get(rule.id)
+            if existing is not None and existing != rule:
+                raise ValueError(f"conflicting registration for rule {rule.id}")
+            _RULES[rule.id] = rule
+        _CHECKERS[checker_cls] = tuple(rule.id for rule in rules)
         return checker_cls
 
     return decorate
@@ -107,13 +75,3 @@ def iter_checkers(enabled: Iterable[str]) -> Iterator[Tuple[type, Tuple[str, ...
         if active:
             yield cls, active
 
-
-def iter_project_checkers(
-    enabled: Iterable[str],
-) -> Iterator[Tuple[type, Tuple[str, ...]]]:
-    """Like :func:`iter_checkers`, over the whole-program checker table."""
-    want = set(enabled)
-    for cls, ids in _PROJECT_CHECKERS.items():
-        active = tuple(rid for rid in ids if rid in want)
-        if active:
-            yield cls, active

@@ -1,59 +1,34 @@
-"""File discovery, per-module and whole-program checker execution.
+"""File discovery and the serial per-file checker pass.
 
-One ``lint_paths`` call makes three passes:
-
-1. **index** — every discovered file is read once and fed to
-   :class:`~repro.lint.context.ProjectContext`, which parses the project,
-   builds the call graph, runs the dataflow fixpoint, and distills the
-   picklable :class:`~repro.lint.context.ProjectFacts`;
-2. **per-file** — each module is checked by the registered per-file
-   checkers (REP0xx–REP3xx), serially, in a process pool (``jobs``), or
-   straight from the incremental cache.  Workers receive ``(path, source,
-   config, enabled, facts)`` — never the coordinator's ASTs — and facts
-   are computed once up front, so the partitioning cannot influence any
-   finding;
-3. **project** — the whole-program checkers (REP4xx) run once in the
-   coordinator over the full context (also cacheable: their input is the
-   sorted file-digest list).
-
-Suppression filtering is per-file-deterministic and happens with the
-checking (so it caches); baseline matching is stateful
-(occurrence-counted) and happens in the coordinator, in discovery order,
-identically for every execution mode.  That ordering discipline is what
-makes serial, parallel, and warm-cache outputs byte-identical.
+Each discovered module is read, parsed once, and visited by every enabled
+checker in registration order; per-line suppressions are applied to that
+module's findings before they are collected.  Files are processed in
+discovery order (sorted directory walk), so output never depends on hash
+order or on the host.
 """
 
 from __future__ import annotations
 
 import ast
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
-from .baseline import Baseline
-from .cache import LintCache, digest_of, engine_digest
 from .checkers import ModuleContext, annotate_parents
 from .config import LintConfig
-from .context import ProjectContext, ProjectFacts
 from .findings import Finding
-from .registry import iter_checkers, iter_project_checkers
+from .registry import all_rules, iter_checkers
 from .suppressions import collect_suppressions, is_suppressed
 
-__all__ = [
-    "LintResult",
-    "FileOutcome",
-    "discover_files",
-    "lint_paths",
-    "lint_source",
-    "resolve_jobs",
-]
+__all__ = ["LintResult", "discover_files", "lint_paths", "lint_source"]
 
+#: Directory names never descended into.  ``corpus`` holds lint fixture
+#: modules that violate rules on purpose; their test lints each one under a
+#: virtual path (name a file explicitly to lint it from the CLI).
 _SKIP_DIRS = {
-    ".git", "__pycache__", ".cache", ".lint-cache", ".mypy_cache",
-    ".ruff_cache", ".pytest_cache", ".venv", "venv", "node_modules",
-    "build", "dist",
+    ".git", "__pycache__", ".cache", ".mypy_cache", ".ruff_cache",
+    ".pytest_cache", ".venv", "venv", "node_modules", "build", "dist",
+    "corpus",
 }
 
 
@@ -63,64 +38,11 @@ class LintResult:
     def __init__(self) -> None:
         self.findings: List[Finding] = []
         self.suppressed = 0
-        self.baselined = 0
         self.parse_errors: List[Tuple[str, str]] = []
-        #: (rule, path, line) -> stripped source line, for baseline writing.
-        self.code_for: Dict[Tuple[str, str, int], str] = {}
         self.files_checked = 0
-        #: cache telemetry (not part of any output schema)
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     def sorted_findings(self) -> List[Finding]:
         return sorted(self.findings, key=Finding.sort_key)
-
-
-@dataclass
-class FileOutcome:
-    """Deterministic per-file check result (pre-baseline, post-suppression).
-
-    This is the unit that travels: worker -> coordinator, and to/from the
-    incremental cache.  Everything in it is a pure function of
-    ``(source, path, config, enabled, facts)``.
-    """
-
-    path: str
-    findings: List[Finding] = field(default_factory=list)
-    suppressed: int = 0
-    #: (rule, line) -> stripped source line for each kept finding
-    codes: Dict[Tuple[str, int], str] = field(default_factory=dict)
-    parse_error: Optional[str] = None
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "findings": [f.to_dict() for f in self.findings],
-            "suppressed": self.suppressed,
-            "codes": [
-                [rule, line, code]
-                for (rule, line), code in sorted(self.codes.items())
-            ],
-            "parse_error": self.parse_error,
-        }
-
-    @classmethod
-    def from_dict(cls, path: str, data: Dict[str, object]) -> "FileOutcome":
-        return cls(
-            path=path,
-            findings=[
-                Finding(
-                    rule=f["rule"], path=f["path"], line=f["line"],
-                    col=f["col"], message=f["message"],
-                )
-                for f in data.get("findings", [])  # type: ignore[union-attr]
-            ],
-            suppressed=int(data.get("suppressed", 0)),  # type: ignore[arg-type]
-            codes={
-                (rule, line): code
-                for rule, line, code in data.get("codes", [])  # type: ignore[union-attr]
-            },
-            parse_error=data.get("parse_error"),  # type: ignore[arg-type]
-        )
 
 
 def discover_files(paths: Iterable[str]) -> List[Path]:
@@ -159,85 +81,43 @@ def _relpath(path: Path) -> str:
     return rel.as_posix()
 
 
-def resolve_jobs(jobs: Optional[str]) -> int:
-    """``--jobs`` value ("auto", "N", None) -> worker count (>= 1)."""
-    if jobs is None:
-        return 1
-    if jobs == "auto":
-        return max(1, (os.cpu_count() or 2) - 1)
-    count = int(jobs)
-    if count < 1:
-        raise ValueError(f"--jobs must be >= 1 or 'auto', got {jobs!r}")
-    return count
+def _enabled(config: LintConfig, enabled: Optional[Iterable[str]]) -> Tuple[str, ...]:
+    if enabled is None:
+        return tuple(config.enabled_rules([r.id for r in all_rules()]))
+    return tuple(enabled)
 
 
-# -- the pure per-file check -------------------------------------------------
-
-
-def check_source(
+def _check(
     source: str,
     path: str,
     config: LintConfig,
     enabled: Tuple[str, ...],
-    facts: Optional[ProjectFacts] = None,
-) -> FileOutcome:
-    """Run the per-file checkers on one module; no baseline involved."""
-    outcome = FileOutcome(path=path)
+    result: LintResult,
+) -> List[Finding]:
+    """Run the checkers on one module and fold the outcome into ``result``."""
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:
-        outcome.parse_error = f"syntax error: {exc.msg} (line {exc.lineno})"
-        return outcome
+        result.parse_errors.append(
+            (path, f"syntax error: {exc.msg} (line {exc.lineno})")
+        )
+        return []
     annotate_parents(tree)
-    ctx = ModuleContext(
-        path=path, source=source, tree=tree, config=config, facts=facts
-    )
+    ctx = ModuleContext(path=path, source=source, tree=tree, config=config)
     suppressions = collect_suppressions(source)
 
-    module_findings: List[Finding] = []
+    kept: List[Finding] = []
     for checker_cls, active in iter_checkers(enabled):
         checker = checker_cls(ctx, active)
         checker.visit(tree)
-        module_findings.extend(checker.findings)
-
-    for finding in module_findings:
-        if is_suppressed(suppressions, finding.line, finding.rule):
-            outcome.suppressed += 1
-            continue
-        outcome.codes[(finding.rule, finding.line)] = (
-            ctx.line_at(finding.line).strip()
-        )
-        outcome.findings.append(finding)
-    return outcome
-
-
-#: Per-worker shared state, installed once by ``_init_worker`` so that the
-#: (large, identical) config/enabled/facts triple is pickled once per worker
-#: instead of once per file — re-sending it per payload made the pool no
-#: faster than the serial loop.
-_WORKER_STATE: Optional[
-    Tuple[LintConfig, Tuple[str, ...], Optional[ProjectFacts]]
-] = None
-
-
-def _init_worker(
-    config: LintConfig,
-    enabled: Tuple[str, ...],
-    facts: Optional[ProjectFacts],
-) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = (config, enabled, facts)
-
-
-def _check_file_worker(payload: Tuple[str, str]) -> Dict[str, object]:
-    """Pool entry point: unpack, check, return the serialized outcome."""
-    path, source = payload
-    assert _WORKER_STATE is not None
-    config, enabled, facts = _WORKER_STATE
-    return check_source(source, path, config, enabled, facts).to_dict()
-
-
-# -- the public entry points -------------------------------------------------
+        for finding in checker.findings:
+            if is_suppressed(suppressions, finding.line, finding.rule):
+                result.suppressed += 1
+            else:
+                kept.append(finding)
+    result.findings.extend(kept)
+    result.files_checked += 1
+    return kept
 
 
 def lint_source(
@@ -246,239 +126,32 @@ def lint_source(
     config: Optional[LintConfig] = None,
     enabled: Optional[Iterable[str]] = None,
     result: Optional[LintResult] = None,
-    baseline: Optional[Baseline] = None,
-    facts: Optional[ProjectFacts] = None,
 ) -> List[Finding]:
     """Lint one module given as text; the unit-test entry point.
 
-    ``path`` is virtual: it determines package membership (sim/engine) and
-    appears in findings, but is never opened.  Only the per-file rules run
-    — whole-program REP4xx rules need ``lint_paths`` (there is no cross-
-    module story for a single string of source).
+    ``path`` is virtual: it determines package membership (sim/engine,
+    test module) and appears in findings, but is never opened.
     """
-    from .registry import all_rules
-
     config = config or LintConfig()
     result = result if result is not None else LintResult()
-    if enabled is None:
-        enabled = config.enabled_rules([r.id for r in all_rules()])
-
-    outcome = check_source(source, path, config, tuple(enabled), facts)
-    if outcome.parse_error is not None:
-        result.parse_errors.append((path, outcome.parse_error))
-        return []
-    kept = _merge_outcome(result, outcome, baseline)
-    result.files_checked += 1
-    return kept
-
-
-def _merge_outcome(
-    result: LintResult,
-    outcome: FileOutcome,
-    baseline: Optional[Baseline],
-) -> List[Finding]:
-    """Apply the (stateful) baseline and fold an outcome into ``result``."""
-    result.suppressed += outcome.suppressed
-    kept: List[Finding] = []
-    for finding in outcome.findings:
-        code = outcome.codes.get((finding.rule, finding.line), "")
-        if baseline is not None and baseline.matches(finding, code):
-            result.baselined += 1
-            continue
-        result.code_for[(finding.rule, finding.path, finding.line)] = code
-        kept.append(finding)
-    result.findings.extend(kept)
-    return kept
+    return _check(source, path, config, _enabled(config, enabled), result)
 
 
 def lint_paths(
     paths: Iterable[str],
     config: Optional[LintConfig] = None,
     enabled: Optional[Iterable[str]] = None,
-    baseline: Optional[Baseline] = None,
-    jobs: int = 1,
-    cache: Optional[LintCache] = None,
 ) -> LintResult:
     """Lint files and directories; returns an aggregate :class:`LintResult`."""
-    from .registry import all_rules
-
     config = config or LintConfig()
-    if enabled is None:
-        enabled = config.enabled_rules([r.id for r in all_rules()])
-    enabled = tuple(enabled)
-
+    active = _enabled(config, enabled)
     result = LintResult()
-    files = discover_files(paths)
-    sources: List[Tuple[str, str]] = []  # (relpath, source), discovery order
-    for path in files:
+    for path in discover_files(paths):
+        relpath = _relpath(path)
         try:
-            sources.append(
-                (_relpath(path), path.read_text(encoding="utf-8"))
-            )
+            source = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
-            result.parse_errors.append((_relpath(path), str(exc)))
-
-    # Pass 1: the whole-program context (one parse of everything).
-    project = ProjectContext.build(sources, config)
-    facts = project.facts
-
-    # Pass 2: per-file checks — cached, parallel, or serial.
-    outcomes = _run_file_checks(
-        sources, config, enabled, facts, jobs, cache, result
-    )
-
-    # Pass 3: whole-program checks in the coordinator.
-    project_outcomes = _run_project_checks(
-        project, sources, config, enabled, cache, result
-    )
-
-    # Deterministic merge: files in discovery order, then project findings
-    # in finding order.  Baseline state is consumed in exactly this order
-    # in every execution mode.
-    for outcome in outcomes:
-        if outcome.parse_error is not None:
-            result.parse_errors.append((outcome.path, outcome.parse_error))
+            result.parse_errors.append((relpath, str(exc)))
             continue
-        _merge_outcome(result, outcome, baseline)
-        result.files_checked += 1
-    for outcome in project_outcomes:
-        _merge_outcome(result, outcome, baseline)
+        _check(source, relpath, config, active, result)
     return result
-
-
-def _run_file_checks(
-    sources: List[Tuple[str, str]],
-    config: LintConfig,
-    enabled: Tuple[str, ...],
-    facts: ProjectFacts,
-    jobs: int,
-    cache: Optional[LintCache],
-    result: LintResult,
-) -> List[FileOutcome]:
-    base_key = None
-    if cache is not None:
-        base_key = {
-            "engine": engine_digest(),
-            "config": digest_of(config),
-            "enabled": list(enabled),
-            "facts": digest_of(facts),
-        }
-
-    outcomes: Dict[str, FileOutcome] = {}
-    pending: List[Tuple[str, str, str]] = []  # (relpath, source, cache_key)
-    for relpath, source in sources:
-        key = ""
-        if cache is not None and base_key is not None:
-            key = digest_of({**base_key, "path": relpath, "source": source})
-            hit = cache.get(key)
-            if hit is not None:
-                outcomes[relpath] = FileOutcome.from_dict(relpath, hit)
-                result.cache_hits += 1
-                continue
-            result.cache_misses += 1
-        pending.append((relpath, source, key))
-
-    if pending:
-        payloads = [(relpath, source) for relpath, source, _key in pending]
-        if jobs > 1 and len(pending) > 1:
-            chunksize = max(1, len(payloads) // (jobs * 4))
-            with ProcessPoolExecutor(
-                max_workers=jobs,
-                initializer=_init_worker,
-                initargs=(config, enabled, facts),
-            ) as pool:
-                raw_outcomes = list(
-                    pool.map(_check_file_worker, payloads, chunksize=chunksize)
-                )
-        else:
-            raw_outcomes = [
-                check_source(source, path, config, enabled, facts).to_dict()
-                for path, source in payloads
-            ]
-        for (relpath, _source, key), raw in zip(pending, raw_outcomes):
-            outcomes[relpath] = FileOutcome.from_dict(relpath, raw)
-            if cache is not None and key:
-                cache.put(key, raw)
-
-    return [outcomes[relpath] for relpath, _source in sources]
-
-
-def _run_project_checks(
-    project: ProjectContext,
-    sources: List[Tuple[str, str]],
-    config: LintConfig,
-    enabled: Tuple[str, ...],
-    cache: Optional[LintCache],
-    result: LintResult,
-) -> List[FileOutcome]:
-    active_checkers = list(iter_project_checkers(enabled))
-    if not active_checkers:
-        return []
-
-    key = ""
-    if cache is not None:
-        key = digest_of({
-            "engine": engine_digest(),
-            "config": digest_of(config),
-            "enabled": list(enabled),
-            "kind": "project-pass",
-            "files": sorted(
-                (relpath, digest_of(source)) for relpath, source in sources
-            ),
-        })
-        hit = cache.get(key)
-        if hit is not None:
-            result.cache_hits += 1
-            return _project_outcomes_from_findings(
-                [
-                    Finding(
-                        rule=f["rule"], path=f["path"], line=f["line"],
-                        col=f["col"], message=f["message"],
-                    )
-                    for f in hit.get("findings", [])
-                ],
-                sources,
-            )
-        result.cache_misses += 1
-
-    findings: List[Finding] = []
-    for checker_cls, active in active_checkers:
-        findings.extend(checker_cls(project, active).run())
-    findings.sort(key=Finding.sort_key)
-
-    if cache is not None and key:
-        cache.put(key, {"findings": [f.to_dict() for f in findings]})
-    return _project_outcomes_from_findings(findings, sources)
-
-
-def _project_outcomes_from_findings(
-    findings: List[Finding],
-    sources: List[Tuple[str, str]],
-) -> List[FileOutcome]:
-    """Wrap raw project findings as per-file outcomes (suppression applied).
-
-    Project findings point at lines in regular modules, so the per-line
-    ``# repro-lint: ignore[...]`` machinery applies to them the same way it
-    does to per-file findings.
-    """
-    source_by_path = dict(sources)
-    by_path: Dict[str, FileOutcome] = {}
-    for finding in sorted(findings, key=Finding.sort_key):
-        outcome = by_path.get(finding.path)
-        if outcome is None:
-            outcome = by_path[finding.path] = FileOutcome(path=finding.path)
-        source = source_by_path.get(finding.path)
-        lines = source.splitlines() if source is not None else []
-        suppressions = (
-            collect_suppressions(source) if source is not None else {}
-        )
-        if is_suppressed(suppressions, finding.line, finding.rule):
-            outcome.suppressed += 1
-            continue
-        code = (
-            lines[finding.line - 1].strip()
-            if 1 <= finding.line <= len(lines) else ""
-        )
-        outcome.codes[(finding.rule, finding.line)] = code
-        outcome.findings.append(finding)
-    return [by_path[p] for p in sorted(by_path)]

@@ -1,4 +1,4 @@
-"""CLI contract tests: exit codes, JSON schema stability, baseline flow.
+"""CLI contract tests: exit codes, JSON schema stability, configuration.
 
 The exit codes (0 clean / 1 findings / 2 usage error) and the
 ``--format=json`` shape are consumed by CI; these tests are the contract.
@@ -98,10 +98,13 @@ def test_exit_2_on_bad_flag(tree):
     assert proc.returncode == 2
 
 
-def test_exit_2_on_missing_explicit_baseline(tree):
-    proc = run_lint(["--baseline", "nope.json", "src"], cwd=tree)
+@pytest.mark.parametrize("flag", [
+    ["--jobs", "2"], ["--cache"], ["--cache-dir", "c"], ["--baseline", "b"],
+    ["--no-baseline"], ["--write-baseline"], ["--format", "sarif"],
+])
+def test_exit_2_on_removed_option(tree, flag):
+    proc = run_lint([*flag, "src"], cwd=tree)
     assert proc.returncode == 2
-    assert "baseline file not found" in proc.stderr
 
 
 # -- select / ignore --------------------------------------------------------
@@ -129,10 +132,10 @@ def test_json_schema_is_stable(tree):
     assert proc.returncode == 1
     payload = json.loads(proc.stdout)
     assert sorted(payload) == [
-        "baselined", "counts", "errors", "files_checked", "findings",
-        "suppressed", "version",
+        "counts", "errors", "files_checked", "findings", "suppressed",
+        "version",
     ]
-    assert payload["version"] == 1
+    assert payload["version"] == 2
     assert payload["files_checked"] == 1
     assert payload["counts"] == {"REP001": 1, "REP003": 1}
     for finding in payload["findings"]:
@@ -149,167 +152,6 @@ def test_json_clean_tree(tree):
     payload = json.loads(proc.stdout)
     assert payload["findings"] == []
     assert payload["counts"] == {}
-
-
-# -- SARIF format -----------------------------------------------------------
-
-
-def test_sarif_output_shape(tree):
-    proc = run_lint(["--format", "sarif", "src"], cwd=dirty(tree))
-    assert proc.returncode == 1
-    payload = json.loads(proc.stdout)
-    assert payload["version"] == "2.1.0"
-    run = payload["runs"][0]
-    driver = run["tool"]["driver"]
-    assert driver["name"] == "repro-lint"
-    catalogue = [rule["id"] for rule in driver["rules"]]
-    assert "REP001" in catalogue and "REP401" in catalogue
-
-    assert {r["ruleId"] for r in run["results"]} == {"REP001", "REP003"}
-    for result in run["results"]:
-        # ruleIndex must point back at the catalogue entry for ruleId.
-        assert driver["rules"][result["ruleIndex"]]["id"] == result["ruleId"]
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"] == (
-            "src/repro/sim/module.py"
-        )
-        assert location["artifactLocation"]["uriBaseId"] == "%SRCROOT%"
-        assert location["region"]["startLine"] >= 1
-
-
-def test_sarif_clean_tree_has_no_results(tree):
-    proc = run_lint(["--format", "sarif", "src"], cwd=tree)
-    assert proc.returncode == 0
-    payload = json.loads(proc.stdout)
-    assert payload["runs"][0]["results"] == []
-
-
-# -- jobs / cache flags ------------------------------------------------------
-
-
-def test_jobs_flag_output_matches_serial(tree):
-    dirty(tree)
-    serial = run_lint(["--format", "json", "src"], cwd=tree)
-    for flag in ("2", "auto"):
-        parallel = run_lint(
-            ["--jobs", flag, "--format", "json", "src"], cwd=tree
-        )
-        assert parallel.stdout == serial.stdout
-        assert parallel.returncode == serial.returncode
-
-
-def test_jobs_zero_is_usage_error(tree):
-    proc = run_lint(["--jobs", "0", "src"], cwd=tree)
-    assert proc.returncode == 2
-    assert "--jobs" in proc.stderr
-
-
-def test_cache_flag_creates_dir_and_reuses_it(tree):
-    dirty(tree)
-    cold = run_lint(["--cache", "--format", "json", "src"], cwd=tree)
-    assert (tree / ".lint-cache" / "v1").is_dir()
-    warm = run_lint(["--cache", "--format", "json", "src"], cwd=tree)
-    assert warm.stdout == cold.stdout
-    assert warm.returncode == cold.returncode == 1
-
-
-def test_cache_dir_flag_implies_cache(tree):
-    run_lint(["--cache-dir", "elsewhere", "src"], cwd=tree)
-    assert (tree / "elsewhere" / "v1").is_dir()
-
-
-# -- baseline workflow ------------------------------------------------------
-
-
-def test_write_baseline_then_clean_run(tree):
-    dirty(tree)
-    wrote = run_lint(["--write-baseline", "src"], cwd=tree)
-    assert wrote.returncode == 0, wrote.stdout + wrote.stderr
-
-    baseline = json.loads((tree / "lint-baseline.json").read_text())
-    assert baseline["version"] == 1
-    assert len(baseline["entries"]) == 2
-    assert {e["rule"] for e in baseline["entries"]} == {"REP001", "REP003"}
-
-    # With the baseline in place the same tree is clean...
-    proc = run_lint(["src"], cwd=tree)
-    assert proc.returncode == 0, proc.stdout
-    assert "2 baselined" in proc.stdout
-
-    # ...but a new violation still fails.
-    (tree / "src" / "repro" / "sim" / "fresh.py").write_text(
-        "import random\n\n\ndef f():\n    return random.random()\n"
-    )
-    proc = run_lint(["src"], cwd=tree)
-    assert proc.returncode == 1
-    assert "fresh.py" in proc.stdout
-
-
-def test_baseline_entry_retired_by_fixing_the_line(tree):
-    dirty(tree)
-    run_lint(["--write-baseline", "src"], cwd=tree)
-    # Fix the file: baseline entries no longer match and are reported stale.
-    (tree / "src" / "repro" / "sim" / "module.py").write_text(CLEAN_MODULE)
-    proc = run_lint(["src"], cwd=tree)
-    assert proc.returncode == 0
-    assert "stale baseline entry" in proc.stdout
-
-
-def test_no_baseline_flag_bypasses_it(tree):
-    dirty(tree)
-    run_lint(["--write-baseline", "src"], cwd=tree)
-    proc = run_lint(["--no-baseline", "src"], cwd=tree)
-    assert proc.returncode == 1
-
-
-def test_baseline_counts_identical_lines(tree):
-    # Two byte-identical violating lines collide on (rule, path, code);
-    # the baseline must track the multiplicity, not just the key.
-    (tree / "src" / "repro" / "sim" / "module.py").write_text(
-        "import time\n"
-        "\n"
-        "\n"
-        "def first():\n"
-        "    return time.time()\n"
-        "\n"
-        "\n"
-        "def second():\n"
-        "    return time.time()\n"
-    )
-    wrote = run_lint(["--write-baseline", "src"], cwd=tree)
-    assert wrote.returncode == 0, wrote.stdout + wrote.stderr
-    baseline = json.loads((tree / "lint-baseline.json").read_text())
-    assert len(baseline["entries"]) == 2
-
-    # Both occurrences are grandfathered...
-    proc = run_lint(["src"], cwd=tree)
-    assert proc.returncode == 0, proc.stdout
-    assert "2 baselined" in proc.stdout
-
-    # ...fixing one consumes one unit of budget and reports the freed
-    # unit as stale, instead of silently keeping a spare match around.
-    (tree / "src" / "repro" / "sim" / "module.py").write_text(
-        "import time\n"
-        "\n"
-        "\n"
-        "def first():\n"
-        "    return time.time()\n"
-        "\n"
-        "\n"
-        "def second():\n"
-        "    return 0.0\n"
-    )
-    proc = run_lint(["src"], cwd=tree)
-    assert proc.returncode == 0, proc.stdout
-    assert "1 baselined" in proc.stdout
-    assert "stale baseline entry" in proc.stdout
-
-
-def test_corrupt_baseline_is_usage_error(tree):
-    (tree / "lint-baseline.json").write_text("{not json")
-    proc = run_lint(["--baseline", "lint-baseline.json", "src"], cwd=tree)
-    assert proc.returncode == 2
-    assert "invalid JSON" in proc.stderr
 
 
 # -- misc -------------------------------------------------------------------
@@ -341,3 +183,12 @@ def test_unknown_pyproject_key_is_usage_error(tree):
     proc = run_lint(["src"], cwd=tree)
     assert proc.returncode == 2
     assert "unknown keys" in proc.stderr
+
+
+def test_baseline_key_is_unknown(tree):
+    (tree / "pyproject.toml").write_text(
+        '[tool.repro-lint]\nbaseline = "lint-baseline.json"\n'
+    )
+    proc = run_lint(["src"], cwd=tree)
+    assert proc.returncode == 2
+    assert "unknown keys: baseline" in proc.stderr

@@ -763,6 +763,143 @@ def test_rep304_negative_outside_engine_and_obs():
     """, path=PLAIN_PATH)
 
 
+# -- REP401: seeded RNG created at import time -------------------------------
+
+
+def test_rep401_positive_module_global():
+    assert_triggers("REP401", """
+        import random
+
+        SHARED = random.Random(7)
+    """, line=4)
+
+
+def test_rep401_positive_default_argument():
+    found = findings_for("""
+        import numpy as np
+
+        def draw(rng=np.random.default_rng(11)):
+            return rng.random()
+
+        pick = lambda rng=np.random.RandomState(3): rng.rand()
+    """, rule="REP401")
+    assert [f.line for f in found] == [4, 7]
+    assert "default argument of draw()" in found[0].message
+
+
+def test_rep401_positive_class_scope():
+    assert_triggers("REP401", """
+        from random import Random
+
+        class Cell:
+            rng = Random(seed=1)
+    """, line=5)
+
+
+def test_rep401_negative_unseeded_and_function_scope():
+    # An unseeded constructor is REP001's business, and a stream built
+    # inside a function belongs to the call that built it.
+    assert_clean("REP401", """
+        import random
+
+        FRESH = random.Random()
+
+        def replication(seed):
+            rng = random.Random(seed)
+            return rng.random()
+    """)
+
+
+def test_rep401_negative_test_modules():
+    assert_clean("REP401", """
+        import random
+
+        RNG = random.Random(0)
+    """, path="tests/sim/test_fixture.py")
+
+
+# -- REP404: state shared across replications ---------------------------------
+
+PLUGIN_MODULE = """
+    from .plugreg import register_policy
+
+    _CACHE = {}
+
+
+    @register_policy
+    class StickyPolicy:
+        def apply(self, key, value):
+            _CACHE[key] = value
+            return value
+
+
+    class InstancePolicy:
+        def __init__(self):
+            self.cache = {}
+
+        def apply(self, key, value):
+            self.cache[key] = value
+            return value
+
+
+    register_policy(InstancePolicy)
+"""
+
+
+def test_rep404_positive_registered_plugin_mutating_module_state():
+    found = findings_for(PLUGIN_MODULE, rule="REP404")
+    # The decorator-registered plugin writing a module dict is flagged;
+    # the call-registered plugin keeping state on the instance is not.
+    assert [f.line for f in found] == [10]
+    assert "'StickyPolicy'" in found[0].message
+    assert "_CACHE" in found[0].message
+
+
+def test_rep404_positive_registered_function_rebinding_global():
+    assert_triggers("REP404", """
+        _RESETS = 0
+
+        def reset():
+            global _RESETS
+            _RESETS = 0
+
+        register_replication_reset(reset)
+    """, line=5)
+
+
+def test_rep404_negative_unregistered_class():
+    assert_clean(
+        "REP404", PLUGIN_MODULE.replace("@register_policy\n", "")
+    )
+
+
+def test_rep404_positive_class_attribute_through_class_name():
+    found = findings_for("""
+        class Cell:
+            registry = []
+            count = 0
+
+            def __init__(self):
+                Cell.registry.append(self)
+                Cell.count += 1
+    """, rule="REP404")
+    assert sorted(f.line for f in found) == [7, 8]
+    assert any("Cell.registry" in f.message for f in found)
+
+
+def test_rep404_negative_instance_state_and_import_time_setup():
+    assert_clean("REP404", """
+        class Cell:
+            registry = []
+
+            def __init__(self, registry):
+                self.registry = registry
+                registry.append(self)
+
+        Cell.registry.append("import-time setup runs once per process")
+    """)
+
+
 # -- cross-cutting ----------------------------------------------------------
 
 
@@ -771,7 +908,7 @@ ALL_RULE_IDS = [
     "REP101", "REP102", "REP103",
     "REP201", "REP202",
     "REP301", "REP302", "REP303", "REP304", "REP305",
-    "REP401", "REP402", "REP404",
+    "REP401", "REP404",
 ]
 
 
