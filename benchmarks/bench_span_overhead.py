@@ -7,9 +7,8 @@ Two bargains are measured:
   ``SpanCollector`` being installed must leave the untraced kernel's
   per-event cost unchanged.  Both sides run the same chain workload as
   ``bench_des_overhead.py``; the installed/uninstalled ratio must stay
-  within the observability budget (``DISABLED_OVERHEAD_CEILING``, the
-  same 2% ``bench_trace_overhead.py`` enforces, against the reference
-  numbers in ``results/des_overhead.txt``).
+  within the observability budget (``DISABLED_OVERHEAD_CEILING``, 2%,
+  against the reference numbers in ``results/des_overhead.txt``).
 * ``dispatch`` — with a collector installed the runner emits one
   replication + one attempt span per config.  That happens once per
   *replication*, not per event, so it is reported as an absolute
@@ -25,7 +24,7 @@ from repro.obs import SpanCollector, use_span_collector
 from repro.runtime import ExperimentRunner
 
 #: Installing (but not exercising) span collection may move the untraced
-#: kernel by at most this fraction — same budget as disabled tracing.
+#: kernel by at most this fraction — the observability budget.
 DISABLED_OVERHEAD_CEILING = 0.02
 
 

@@ -10,10 +10,8 @@ Usage::
     python -m repro campus --portables 100000   # campus-scale stress run
     python -m repro cache stats          # inspect the result cache
     python -m repro cache prune --max-size 500M
-    python -m repro --trace trace.jsonl table2   # record a DES/domain trace
-    python -m repro trace summarize trace.jsonl  # aggregate a recorded trace
-    python -m repro --metrics-json m.json table2 # export the metrics registry
-    python -m repro --stats figure5              # print run telemetry
+    python -m repro --stats ablations            # telemetry + domain counters
+    python -m repro --stats-json s.json table2   # the same report as JSON
     python -m repro --spans spans.jsonl.gz figure4  # record runtime spans
     python -m repro trace spans spans.jsonl.gz      # render the span tree
     python -m repro --profile prof.pstats.gz table2 # profile the workers
@@ -34,14 +32,15 @@ replications exceeding a wall-clock budget, and ``--partial`` lets a
 sweep survive exhausted points (they are dropped from the merged output
 with a warning instead of aborting the run).
 
-Observability (``repro.obs``): ``--trace [PATH]`` records DES and domain
-trace points (JSONL when a path is given, an in-memory summary
-otherwise), ``--metrics-json PATH`` exports the metrics registry (``-``
-writes to stdout), and ``--stats`` / ``--stats-json PATH`` report runner
-telemetry.  All of them compose with ``--jobs N``: pool workers capture
-their replication's records and metrics locally and the coordinator
-merges the snapshots deterministically, so observed output is identical
-at any worker count.
+Observability (``repro.obs``): ``--stats`` prints the run report — runner
+telemetry, then the non-zero domain counters of the metrics registry
+(admission decisions, reservation claims, handoffs, adaptation rounds,
+commits and sweeps, max-min rounds).  ``--stats-json PATH`` writes the
+same report as one JSON document, the telemetry fields plus a
+``"metrics"`` registry snapshot.  Both compose with ``--jobs N``: pool
+workers collect their replication's metrics locally and the coordinator
+merges the snapshots deterministically, so the ``metrics`` section is
+byte-identical at any worker count.
 
 Runtime observability: ``--spans PATH`` records hierarchical wall-clock
 spans (sweep → replication → attempt) whose *structure* is
@@ -58,6 +57,7 @@ import os
 import sys
 from typing import Callable, Dict, List, Optional
 
+from .obs import NULL_REGISTRY, MetricsRegistry, use_registry
 from .runtime import ExperimentRunner, ResultCache, drop_failures, parse_size
 
 
@@ -209,6 +209,42 @@ EXPERIMENTS: Dict[str, Callable[[ExperimentRunner], str]] = {
 }
 
 
+def _add_stats_flags(parser: argparse.ArgumentParser) -> None:
+    """The ``--stats`` / ``--stats-json`` run report shared by the parsers."""
+    parser.add_argument(
+        "--stats", action="store_true",
+        help="print the run report after the run: telemetry (replication "
+        "wall times, faults, cache hit rate, active DES kernel core) and "
+        "the non-zero domain counters",
+    )
+    parser.add_argument(
+        "--stats-json", default=None, metavar="PATH",
+        help="write the run report as JSON to PATH: telemetry plus a "
+        "'metrics' registry snapshot (implies --stats output)",
+    )
+
+
+def _stats_registry(args: argparse.Namespace) -> MetricsRegistry:
+    """A live registry when a run report was asked for, else the no-op one."""
+    if args.stats or args.stats_json is not None:
+        return MetricsRegistry()
+    return NULL_REGISTRY
+
+
+def _report(
+    runner: ExperimentRunner, registry: MetricsRegistry, args: argparse.Namespace
+) -> None:
+    """Write and print the ``--stats`` / ``--stats-json`` run report."""
+    if args.stats_json is not None:
+        report = runner.telemetry.to_dict()
+        report["metrics"] = registry.to_dict()
+        with open(args.stats_json, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(report, indent=2) + "\n")
+    if args.stats or args.stats_json is not None:
+        print(runner.telemetry.summary())
+        print(registry.summary())
+
+
 def _cache_main(argv: List[str]) -> int:
     """``python -m repro cache stats|clear|prune`` — manage the result cache."""
     parser = argparse.ArgumentParser(
@@ -319,20 +355,13 @@ def _campus_main(argv: List[str]) -> int:
         "--backend", choices=("serial", "process"), default=None,
         help="execution backend (default: serial for --jobs 1, else process)",
     )
-    parser.add_argument(
-        "--stats", action="store_true",
-        help="print run telemetry (wall times, in-worker DES events/sec, "
-        "active kernel core)",
-    )
-    parser.add_argument(
-        "--stats-json", default=None, metavar="PATH",
-        help="write run telemetry as JSON to PATH (implies --stats output)",
-    )
+    _add_stats_flags(parser)
     _add_des_core_flag(parser)
     args = parser.parse_args(argv)
     _apply_des_core(args)
 
     runner = ExperimentRunner(jobs=args.jobs, backend=args.backend)
+    registry = _stats_registry(args)
     configs = [
         {
             "seed": args.seed + i,
@@ -345,7 +374,8 @@ def _campus_main(argv: List[str]) -> int:
         }
         for i in range(args.replications)
     ]
-    results = runner.run_many(simulate_campus_scale, configs, label="campus")
+    with use_registry(registry):
+        results = runner.run_many(simulate_campus_scale, configs, label="campus")
     for config, result in zip(configs, results):
         print(
             format_table(
@@ -368,30 +398,18 @@ def _campus_main(argv: List[str]) -> int:
             )
         )
         print()
-    if args.stats_json is not None:
-        with open(args.stats_json, "w", encoding="utf-8") as fh:
-            fh.write(runner.telemetry.to_json(indent=2) + "\n")
-    if args.stats or args.stats_json is not None:
-        print(runner.telemetry.summary())
+    _report(runner, registry, args)
     return 0
 
 
 def _trace_main(argv: List[str]) -> int:
-    """``python -m repro trace summarize|spans|profile`` — analyze artifacts."""
-    from .obs import read_jsonl, summarize_records
-
+    """``python -m repro trace spans|profile`` — analyze recorded artifacts."""
     parser = argparse.ArgumentParser(
         prog="python -m repro trace",
-        description="Analyze traces, spans, and profiles recorded by "
-        "--trace/--spans/--profile (plain or gzipped).",
+        description="Analyze spans and profiles recorded by --spans/--profile "
+        "(plain or gzipped).",
     )
     sub = parser.add_subparsers(dest="action", required=True)
-    p_sum = sub.add_parser(
-        "summarize", help="per-kind counts/time spans and domain aggregates"
-    )
-    p_sum.add_argument(
-        "path", help="JSONL trace file written by --trace PATH (.gz ok)"
-    )
     p_spans = sub.add_parser(
         "spans", help="render the span tree recorded with --spans PATH"
     )
@@ -422,10 +440,6 @@ def _trace_main(argv: List[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.action == "summarize":
-        records = read_jsonl(args.path)
-        print(json.dumps(summarize_records(records), indent=2))
-        return 0
     if args.action == "spans":
         from .obs import format_span_tree, read_spans_jsonl
 
@@ -502,17 +516,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "output with a warning instead of aborting the run",
     )
     parser.add_argument(
-        "--trace", nargs="?", const="", default=None, metavar="PATH",
-        help="record DES + domain trace points: to a JSONL file when PATH "
-        "is given, else to memory with a printed summary (works at any "
-        "--jobs N; traced output stays bit-identical to an untraced run)",
-    )
-    parser.add_argument(
-        "--metrics-json", default=None, metavar="PATH",
-        help="collect the metrics registry during the run and write its "
-        "JSON snapshot to PATH ('-' for stdout; works at any --jobs N)",
-    )
-    parser.add_argument(
         "--spans", default=None, metavar="PATH",
         help="record hierarchical runtime spans (sweep → replication → "
         "attempt) to a JSONL file ('.gz' compresses); span structure is "
@@ -524,15 +527,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "deterministically aggregated stats to PATH ('.gz' compresses; "
         "inspect with 'python -m repro trace profile PATH')",
     )
-    parser.add_argument(
-        "--stats", action="store_true",
-        help="print run telemetry (replication wall times, faults, cache "
-        "hit rate, active DES kernel core) after the experiments",
-    )
-    parser.add_argument(
-        "--stats-json", default=None, metavar="PATH",
-        help="write run telemetry as JSON to PATH (implies --stats output)",
-    )
+    _add_stats_flags(parser)
     _add_des_core_flag(parser)
     args = parser.parse_args(argv)
     _apply_des_core(args)
@@ -553,26 +548,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         profile=args.profile is not None,
     )
 
-    from .obs import (
-        JsonlSink,
-        MetricsRegistry,
-        RingBufferSink,
-        SpanCollector,
-        Tracer,
-        set_registry,
-        set_span_collector,
-        set_tracer,
-        summarize_records,
-        write_spans_jsonl,
-    )
+    from .obs import SpanCollector, set_span_collector, write_spans_jsonl
 
-    tracer: Optional[Tracer] = None
-    if args.trace is not None:
-        sink = JsonlSink(args.trace) if args.trace else RingBufferSink()
-        tracer = Tracer(sink)
-        set_tracer(tracer)
-    if args.metrics_json is not None:
-        set_registry(MetricsRegistry())
+    registry = _stats_registry(args)
     collector: Optional[SpanCollector] = None
     if args.spans is not None:
         collector = SpanCollector()
@@ -580,14 +558,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     try:
-        for name in names:
-            print(f"=== {name} ===")
-            print(EXPERIMENTS[name](runner))
-            print()
+        with use_registry(registry):
+            for name in names:
+                print(f"=== {name} ===")
+                print(EXPERIMENTS[name](runner))
+                print()
     finally:
-        if tracer is not None:
-            set_tracer(None)
-            tracer.close()
         if collector is not None:
             set_span_collector(None)
             write_spans_jsonl(args.spans, collector.spans())
@@ -600,32 +576,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
             write_pstats(args.profile, runner.profile_stats)
             print(f"profile written to {args.profile}")
-        if args.metrics_json is not None:
-            registry = set_registry(None)
-            if args.metrics_json == "-":
-                sys.stdout.write(registry.to_json(indent=2) + "\n")
-            else:
-                with open(args.metrics_json, "w", encoding="utf-8") as fh:
-                    fh.write(registry.to_json(indent=2) + "\n")
-                print(f"metrics written to {args.metrics_json}")
 
-    if tracer is not None:
-        if isinstance(tracer.sink, RingBufferSink):
-            summary = summarize_records(tracer.sink.records())
-            if tracer.sink.dropped:
-                summary["dropped"] = tracer.sink.dropped
-            print("trace summary:")
-            print(json.dumps(summary, indent=2))
-        else:
-            print(
-                f"trace written to {args.trace} "
-                f"({tracer.sink.written} records)"
-            )
-    if args.stats_json is not None:
-        with open(args.stats_json, "w", encoding="utf-8") as fh:
-            fh.write(runner.telemetry.to_json(indent=2) + "\n")
-    if args.stats or args.stats_json is not None:
-        print(runner.telemetry.summary())
+    _report(runner, registry, args)
     return 0
 
 

@@ -50,7 +50,6 @@ from ..des import Environment
 from ..network.signaling import ControlPacket, PacketKind, SignalingNetwork
 from ..network.topology import Topology
 from ..obs.metrics import get_registry
-from ..obs.trace import get_tracer
 from ..traffic.connection import Connection
 from .maxmin import MaxMinProblem, maxmin_allocation
 
@@ -380,6 +379,7 @@ class AdaptationProtocol:
 
     def _run_sweep(self) -> None:
         self._sweep_scheduled = False
+        get_registry().counter("adaptation_sweeps_total").inc()
         if self._rounds:
             # Rounds still in flight: their completions re-arm the sweep.
             self._schedule_sweep()
@@ -485,21 +485,6 @@ class AdaptationProtocol:
         self.rounds_initiated += 1
         self._inflight.add((node, conn_id))
 
-        tracer = get_tracer()
-        if tracer is not None:
-            tracer.emit(
-                "adaptation.round.start",
-                t=self.env.now,
-                conn=str(conn_id),
-                link=[str(k) for k in link_key],
-                target=target,
-                recorded=recorded,
-                restricted=sorted(
-                    str(c)
-                    for c, r in state.recorded.items()
-                    if r <= mu + _EPS
-                ),
-            )
         get_registry().counter("adaptation_rounds_total").inc()
 
         gid = (node, next(self._seq))
@@ -594,17 +579,6 @@ class AdaptationProtocol:
             packet.stamped_rate = stamp
             state.set_recorded(packet.conn_id, stamp)
             state.advertised()
-            tracer = get_tracer()
-            if tracer is not None:
-                tracer.emit(
-                    "adaptation.advertise",
-                    t=self.env.now,
-                    node=str(node),
-                    conn=str(packet.conn_id),
-                    stamp=stamp,
-                    mu=mu,
-                    bottlenecked=packet.conn_id in state.bottleneck_set,
-                )
 
         self._forward(node, packet)
 
@@ -661,17 +635,7 @@ class AdaptationProtocol:
         # Round complete: commit with UPDATE packets in both directions.
         del self._rounds[packet.global_id]
         self._inflight.discard((rnd.initiator, rnd.conn_id))
-        tracer = get_tracer()
-        if tracer is not None:
-            tracer.emit(
-                "adaptation.round.commit",
-                t=self.env.now,
-                conn=str(rnd.conn_id),
-                link=[str(k) for k in rnd.link_key],
-                rate=final,
-                trips=rnd.trip,
-                rounds_total=self.rounds_initiated,
-            )
+        get_registry().counter("adaptation_commits_total").inc()
         self._apply_rate(rnd.link_key, rnd.conn_id, final)
         conn = self.connections.get(rnd.conn_id)
         if conn is not None and conn.qos.bounds is not None:

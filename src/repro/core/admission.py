@@ -32,7 +32,6 @@ from ..network.scheduling import (
 )
 from ..network.topology import Topology
 from ..obs.metrics import get_registry
-from ..obs.trace import get_tracer
 from ..traffic.connection import Connection
 
 __all__ = ["AdmissionResult", "AdmissionController", "RejectReason"]
@@ -119,22 +118,6 @@ class AdmissionController:
         result = self._evaluate(
             conn, route, is_handoff, static_portable, claimable, commit
         )
-        tracer = get_tracer()
-        if tracer is not None:
-            tracer.emit(
-                "admission.decision",
-                conn=str(conn.conn_id),
-                accepted=result.accepted,
-                reason=result.reason,
-                failed_link=(
-                    [str(k) for k in result.failed_link]
-                    if result.failed_link is not None
-                    else None
-                ),
-                granted_rate=result.granted_rate,
-                handoff=is_handoff,
-                committed=commit and result.accepted,
-            )
         get_registry().counter(
             "admission_decisions_total",
             accepted=result.accepted,

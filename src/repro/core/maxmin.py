@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Mapping, Sequence, Set
 
-from ..obs.trace import get_tracer
+from ..obs.metrics import get_registry
 
 __all__ = [
     "MaxMinProblem",
@@ -86,8 +86,6 @@ def maxmin_allocation(problem: MaxMinProblem) -> Dict[Hashable, float]:
     }
     # Zero-demand or pathless connections are frozen at zero immediately.
 
-    tracer = get_tracer()
-    round_index = 0
     while active:
         # One deterministic order per round: iterating the ``active`` set
         # directly would visit connections in hash-randomized order, and
@@ -124,15 +122,7 @@ def maxmin_allocation(problem: MaxMinProblem) -> Dict[Hashable, float]:
                 remaining[link_id] <= _EPS for link_id in problem.paths[conn]
             ):
                 frozen.add(conn)
-        round_index += 1
-        if tracer is not None:
-            tracer.emit(
-                "maxmin.round",
-                round=round_index,
-                increment=increment,
-                active=len(ordered),
-                frozen=[str(c) for c in sorted(frozen, key=repr)],
-            )
+        get_registry().counter("maxmin_rounds_total").inc()
         if not frozen:
             # Numerical safety: cannot happen for well-posed inputs.
             break

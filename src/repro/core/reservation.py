@@ -22,7 +22,6 @@ from typing import Callable, Dict, Hashable, Optional
 
 from ..network.link import Link
 from ..obs.metrics import get_registry
-from ..obs.trace import get_tracer
 
 __all__ = ["CellReservations"]
 
@@ -139,19 +138,10 @@ class CellReservations:
         Returns the claimable bandwidth; the reservation is consumed (the
         admission controller re-books the connection as an ongoing one).
         A zero claim means the prediction missed — no reservation awaited
-        this portable here (the reservation-miss the trace records).
+        this portable here (the reservation miss ``hit=False`` counts).
         """
         amount = self.release_portable(portable_id)
         hit = amount > 0.0
-        tracer = get_tracer()
-        if tracer is not None:
-            tracer.emit(
-                "reservation.claim",
-                portable=str(portable_id),
-                amount=amount,
-                hit=hit,
-                link=[str(k) for k in self.link.key],
-            )
         get_registry().counter(
             "reservation_claims_total", hit=hit
         ).inc()

@@ -594,9 +594,8 @@ gen_advance(PyObject *gen, PyObject *event, int ev_direct, PyObject **out)
 }
 
 /* Terminate the process event: clear the active process, set the
- * process's outcome, and schedule it.  env.schedule goes through the
- * attribute so it honors any rebinding (e.g. a tracer attached between
- * runs swapped in the recording pure-Python schedule). */
+ * process's outcome, and schedule it through env.schedule (the compiled
+ * callable a NativeEnvironment binds once, at construction). */
 static int
 finish_process(PyObject *proc, int proc_direct, PyObject *env, int env_direct,
                PyObject *okflag, PyObject *value)

@@ -7,7 +7,6 @@ import os
 from itertools import count
 from typing import Any, Dict, Generator, Iterable, List, Optional, Tuple, Union
 
-from ..obs.trace import Tracer, get_tracer
 from .errors import EmptySchedule, StopProcess
 from .events import AllOf, AnyOf, Event, Timeout
 from .process import Process
@@ -60,19 +59,13 @@ class Environment:
     same time are processed in (priority, insertion order), which makes runs
     fully reproducible.
 
-    The schedule/step loop is the simulation's hot path: ``heapq`` functions
-    and the queue are bound once per environment (locals beat global/attr
+    The schedule/step loop is the simulation's hot path: the heap pop and
+    the queue are bound once per environment (locals beat global/attr
     lookups in CPython), and :meth:`run` pumps events with an inlined copy of
     :meth:`step` to drop a method call per event.
-
-    Tracing (``repro.obs``) is wired so the disabled path stays untouched:
-    enabling a tracer swaps ``self._push`` for a recording wrapper and
-    :meth:`run` selects a separate traced pump, so with tracing off the
-    kernel executes the exact pre-observability instruction sequence.
     """
 
-    __slots__ = ("_now", "_queue", "_eid", "_active_proc", "_push", "_pop",
-                 "_tracer", "_tallied")
+    __slots__ = ("_now", "_queue", "_eid", "_active_proc", "_pop", "_tallied")
 
     #: Which kernel this environment's pump runs on; the compiled subclass
     #: (``repro.des.native.NativeEnvironment``) overrides this with
@@ -85,12 +78,7 @@ class Environment:
         self._eid = count()
         self._tallied = 0
         self._active_proc: Optional[Process] = None
-        self._push = heapq.heappush
         self._pop = heapq.heappop
-        self._tracer: Optional[Tracer] = None
-        tracer = get_tracer()
-        if tracer is not None:
-            self.set_tracer(tracer)
 
     # -- clock ------------------------------------------------------------
 
@@ -126,39 +114,6 @@ class Environment:
         _EVENTS_BY_CORE[self.core] += processed - self._tallied
         self._tallied = processed
 
-    # -- observability ----------------------------------------------------
-
-    @property
-    def tracer(self) -> Optional[Tracer]:
-        """The attached tracer (None when this environment is untraced)."""
-        return self._tracer
-
-    def set_tracer(self, tracer: Optional[Tracer]) -> None:
-        """Attach (or with None, detach) a tracer to this environment.
-
-        Attaching binds the tracer's sim clock to this environment (the
-        most recently attached environment wins) and swaps the schedule
-        path for a recording one; detaching restores the plain ``heapq``
-        push, so an untraced environment pays nothing.
-        """
-        self._tracer = tracer
-        if tracer is None:
-            self._push = heapq.heappush
-            return
-        tracer.clock = lambda: self._now
-
-        def _traced_push(queue, item, _push=heapq.heappush, _emit=tracer.emit):
-            _push(queue, item)
-            _emit(
-                "des.schedule",
-                t=self._now,
-                at=item[0],
-                prio=item[1],
-                event=type(item[3]).__name__,
-            )
-
-        self._push = _traced_push
-
     # -- event factories ----------------------------------------------------
 
     def event(self) -> Event:
@@ -189,7 +144,7 @@ class Environment:
 
     def schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
         """Schedule ``event`` to be processed ``delay`` units from now."""
-        self._push(
+        heapq.heappush(
             self._queue, (self._now + delay, priority, next(self._eid), event)
         )
 
@@ -204,14 +159,8 @@ class Environment:
         except IndexError:
             raise EmptySchedule("no scheduled events remain") from None
 
-        if self._tracer is not None:
-            self._tracer.emit(
-                "des.fire", t=self._now, event=type(event).__name__
-            )
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
-            if self._tracer is not None:
-                _trace_callback(self._tracer, self._now, callback)
             callback(event)
 
         if not event._ok and not event.defused:
@@ -243,43 +192,20 @@ class Environment:
 
         # Inlined event pump (equivalent to ``while True: self.step()``):
         # one tuple unpack, the callback fan-out, and the failure check per
-        # event, with the heap pop and queue bound to locals.  The traced
-        # pump is a separate loop so the common untraced path stays
-        # instruction-identical to the pre-observability kernel.
+        # event, with the heap pop and queue bound to locals.
         pop = self._pop
         queue = self._queue
-        tracer = self._tracer
         try:
-            if tracer is None:
-                while True:
-                    try:
-                        self._now, _, _, event = pop(queue)
-                    except IndexError:
-                        raise EmptySchedule(
-                            "no scheduled events remain"
-                        ) from None
-                    callbacks, event.callbacks = event.callbacks, None
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event.defused:
-                        raise event._value
-            else:
-                while True:
-                    try:
-                        self._now, _, _, event = pop(queue)
-                    except IndexError:
-                        raise EmptySchedule(
-                            "no scheduled events remain"
-                        ) from None
-                    tracer.emit(
-                        "des.fire", t=self._now, event=type(event).__name__
-                    )
-                    callbacks, event.callbacks = event.callbacks, None
-                    for callback in callbacks:
-                        _trace_callback(tracer, self._now, callback)
-                        callback(event)
-                    if not event._ok and not event.defused:
-                        raise event._value
+            while True:
+                try:
+                    self._now, _, _, event = pop(queue)
+                except IndexError:
+                    raise EmptySchedule("no scheduled events remain") from None
+                callbacks, event.callbacks = event.callbacks, None
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event.defused:
+                    raise event._value
         except _StopSimulation as stop:
             return stop.value
         except EmptySchedule:
@@ -364,11 +290,9 @@ def resolve_des_core(core: Optional[str] = None) -> str:
 def selected_core(core: Optional[str] = None) -> str:
     """Which kernel :func:`make_environment` would build right now.
 
-    Returns ``"native"`` or ``"pure"``.  ``native`` is selected only when
-    requested (or ``auto``), the extension imports, and no process-wide
-    tracer is attached — tracing is a pure-kernel feature, and ``auto``
-    silently falls back for it.  An
-    explicit ``native`` request with the extension unavailable raises
+    Returns ``"native"`` or ``"pure"``.  ``native`` is selected when
+    requested (or ``auto``) and the extension imports.  An explicit
+    ``native`` request with the extension unavailable raises
     :class:`RuntimeError` (a sweep must never silently change kernels).
     """
     mode = resolve_des_core(core)
@@ -378,14 +302,7 @@ def selected_core(core: Optional[str] = None) -> str:
             f"importable ({native_import_error()}); build it with "
             "'python setup.py build_ext --inplace' or select auto/pure"
         )
-    if mode == "pure":
-        return "pure"
-    if not native_available():
-        return "pure"
-    if get_tracer() is not None:
-        # Tracing is a pure-kernel feature; even an explicit native
-        # request yields to it (the fallback is visible in telemetry,
-        # which reports core == "pure").
+    if mode == "pure" or not native_available():
         return "pure"
     return "native"
 
@@ -396,11 +313,10 @@ def make_environment(
     """The standard environment for simulators.
 
     Core selection (see :func:`selected_core`): the compiled kernel is used
-    when available and not ruled out by tracing; the ``REPRO_DES_NATIVE``
-    variable or the ``core`` argument pins it to ``native`` (raising if the
-    extension is missing) or ``pure``.  Results are bit-identical across
-    these switches — they only trade interpreter overhead and
-    observability (see ``benchmarks/bench_des_overhead.py`` and
+    when available; the ``REPRO_DES_NATIVE`` variable or the ``core``
+    argument pins it to ``native`` (raising if the extension is missing) or
+    ``pure``.  Results are bit-identical across these switches — they only
+    trade interpreter overhead (see ``benchmarks/bench_des_overhead.py`` and
     ``tests/sim/test_native_identity.py``).
     """
     if selected_core(core) == "native":
@@ -408,21 +324,6 @@ def make_environment(
         assert module is not None  # selected_core() guarantees this
         return module.NativeEnvironment(initial_time)
     return Environment(initial_time)
-
-
-def _trace_callback(tracer: Tracer, now: float, callback: Any) -> None:
-    """Emit a ``des.resume`` record when ``callback`` resumes a process.
-
-    Only used on the traced pump; the resume target and its generator name
-    are derived by introspection here so :mod:`repro.des.process` needs no
-    hooks of its own (and the untraced path no extra branches).
-    """
-    owner = getattr(callback, "__self__", None)
-    if isinstance(owner, Process):
-        generator = owner._generator
-        code = getattr(generator, "gi_code", None)
-        name = code.co_name if code is not None else type(generator).__name__
-        tracer.emit("des.resume", t=now, process=name)
 
 
 class _StopSimulation(Exception):

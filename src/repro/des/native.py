@@ -15,9 +15,8 @@ header comment in ``_speedups.c`` and the pure×native identity matrix in
 
 from __future__ import annotations
 
-from typing import Any, Optional, Union
+from typing import Any, Union
 
-from ..obs.trace import Tracer
 from . import _speedups
 from .engine import URGENT, Environment, _stop_simulation, _StopSimulation
 from .errors import EmptySchedule, StopProcess
@@ -40,12 +39,6 @@ class NativeEnvironment(Environment):
     event semantics, processes, resources, ``step()``, ``peek()`` — is the
     inherited pure-Python machinery operating on the same data structures,
     so the two cores interoperate freely on one queue.
-
-    Attaching a tracer rebinds the pure-Python methods (the recording
-    ``_push`` wrapper must see every schedule), so a traced
-    ``NativeEnvironment`` executes the exact pure traced pump and emits
-    byte-identical traces.  Like the pure kernel, a tracer attached while
-    ``run()`` is pumping takes effect at the *next* ``run()`` call.
     """
 
     __slots__ = ("timeout", "schedule", "_pump")
@@ -55,28 +48,9 @@ class NativeEnvironment(Environment):
 
     def __init__(self, initial_time: float = 0.0):
         super().__init__(initial_time)
-        self._bind_core()
-
-    def _bind_core(self) -> None:
-        """(Re)bind hot-path callables to match the tracing state."""
-        if self._tracer is None:
-            self.timeout, self.schedule, self._pump = _speedups.bind(self)
-        else:
-            self.timeout = Environment.timeout.__get__(self)
-            self.schedule = Environment.schedule.__get__(self)
-            self._pump = None
-
-    def set_tracer(self, tracer: Optional[Tracer]) -> None:
-        super().set_tracer(tracer)
-        self._bind_core()
+        self.timeout, self.schedule, self._pump = _speedups.bind(self)
 
     def run(self, until: Union[Event, float, None] = None) -> Any:
-        pump = self._pump
-        if pump is None:
-            # Traced: delegate to the pure pump so every fire/resume is
-            # recorded exactly as the pure kernel records it.
-            return super().run(until)
-
         # Until-setup is byte-for-byte the pure kernel's (engine.run).
         if until is not None and not isinstance(until, Event):
             at = float(until)
@@ -94,7 +68,7 @@ class NativeEnvironment(Environment):
             until.callbacks.append(_stop_simulation)
 
         try:
-            pump()
+            self._pump()
         except _StopSimulation as stop:
             return stop.value
         except EmptySchedule:

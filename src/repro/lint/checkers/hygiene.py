@@ -38,14 +38,14 @@ REP302 = Rule(
 REP303 = Rule(
     "REP303",
     "no-print-in-library",
-    "bare print() in library code bypasses the observability layer; emit a "
-    "trace record or metric (repro.obs), or return the text to the caller",
+    "bare print() in library code bypasses the observability layer; count "
+    "it as a metric (repro.obs), or return the text to the caller",
 )
 REP305 = Rule(
     "REP305",
     "no-direct-speedups-import",
     "importing repro.des._speedups directly bypasses the core-selection "
-    "seam (availability probing, tracer fallback); construct "
+    "seam (availability probing, pure fallback); construct "
     "environments through repro.des.engine.make_environment()",
 )
 
@@ -147,7 +147,7 @@ class LibraryPrintChecker(Checker):
         ):
             self.report(
                 "REP303", node,
-                "print() in library code; emit via repro.obs (trace/metric) "
+                "print() in library code; count it via repro.obs (metric) "
                 "or return the text to the caller",
             )
         self.generic_visit(node)
@@ -159,16 +159,16 @@ class SpeedupsImportChecker(Checker):
 
     ``repro.des._speedups`` is an *optional* accelerator; the only place
     allowed to touch it is the selection seam in ``repro/des/`` (which
-    probes availability and falls back to the pure kernel when tracing is
-    on).  Library code importing it directly would crash on
-    pure-only installs and skip the fallback rules.  Tests and tools are
+    probes availability and falls back to the pure kernel when the
+    extension is missing).  Library code importing it directly would crash
+    on pure-only installs.  Tests and tools are
     exempt — they exercise the extension on purpose.
     """
 
     _MESSAGE = (
         "direct import of the compiled DES core; environments must come "
-        "from repro.des.engine.make_environment() so availability and "
-        "the tracing fallback apply"
+        "from repro.des.engine.make_environment() so the availability "
+        "probe and the pure fallback apply"
     )
 
     def _in_scope(self) -> bool:

@@ -1,21 +1,18 @@
-"""Unified observability layer: metrics, DES event tracing, run telemetry.
+"""Unified observability layer: metrics, run telemetry, spans, profiles.
 
-Three legs, all free when off and structured when on:
+Two legs report every run through ``--stats`` / ``--stats-json``:
 
 * :mod:`repro.obs.metrics` — a process-wide registry of Counter / Gauge /
   Histogram instruments keyed by name + labels, with a no-op default so
   instrumented call sites cost ~nothing while metrics are disabled, and a
-  deterministically ordered JSON export (``--metrics-json``).
-* :mod:`repro.obs.trace` — opt-in, sim-time-stamped structured records
-  from the DES kernel (schedule / fire / process-resume) and the paper's
-  decision points (admission outcomes, adaptation rounds, handoffs,
-  advance-reservation claims), sunk to a ring buffer or JSONL file
-  (``--trace[=PATH]``, ``python -m repro trace summarize``).
+  deterministically ordered JSON export.  The domain counters (admission
+  decisions, reservation claims, handoffs, adaptation rounds, commits and
+  sweeps, max-min rounds) are the record of what a simulation did.
 * :mod:`repro.obs.telemetry` — coordinator-side aggregation of what the
   experiment runtime did: per-replication wall times, retry / timeout /
-  crash counts, cache hit rates (``--stats-json``).
+  crash counts, cache hit rates, DES events per kernel core.
 
-Two more cover the runtime itself rather than the simulation:
+Two more cover where the runtime's wall-clock time went:
 
 * :mod:`repro.obs.spans` — hierarchical wall-clock spans over sweep →
   replication → attempt, with a placement-independent canonical
@@ -60,17 +57,6 @@ from .spans import (
     write_spans_jsonl,
 )
 from .telemetry import RunTelemetry
-from .trace import (
-    JsonlSink,
-    RingBufferSink,
-    Tracer,
-    get_tracer,
-    open_text,
-    read_jsonl,
-    set_tracer,
-    summarize_records,
-    use_tracer,
-)
 
 __all__ = [
     "Counter",
@@ -83,15 +69,6 @@ __all__ = [
     "set_registry",
     "use_registry",
     "RunTelemetry",
-    "Tracer",
-    "RingBufferSink",
-    "JsonlSink",
-    "get_tracer",
-    "set_tracer",
-    "use_tracer",
-    "open_text",
-    "read_jsonl",
-    "summarize_records",
     "Span",
     "SpanCollector",
     "SpanLedger",

@@ -223,6 +223,20 @@ class MetricsRegistry:
 
         return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
 
+    def summary(self) -> str:
+        """The non-zero counters, one per line (``--stats`` prints this)."""
+        rows = []
+        for m in self.instruments():
+            if m.kind == "counter" and m.value:
+                labels = ",".join(f"{k}={v}" for k, v in m.labels)
+                rows.append((f"{m.name}{{{labels}}}" if labels else m.name, m.value))
+        width = max((len(name) for name, _ in rows), default=0)
+        lines = ["domain counters:"]
+        lines += [f"  {name:<{width}}  {value:.15g}" for name, value in rows]
+        if not rows:
+            lines.append("  (none)")
+        return "\n".join(lines)
+
     # -- cross-process folding ---------------------------------------------
 
     def merge_snapshot(self, snapshot: Dict[str, Any]) -> "MetricsRegistry":
@@ -235,7 +249,7 @@ class MetricsRegistry:
         single registry shared across a serial run would hold).  Folding
         the same snapshots in the same order is deterministic by
         construction — instruments are keyed by name + sorted labels and
-        exports are sorted — so merged ``--metrics-json`` output is
+        exports are sorted — so the merged ``--stats-json`` metrics are
         byte-identical at any worker count.  Returns ``self``.
         """
         for entry in snapshot.get("metrics", []):

@@ -2,7 +2,7 @@
 
 ``--profile`` runs each replication under :mod:`cProfile` *inside the
 worker* and ships the raw stats dict back with the replication's
-observation snapshot — the same channel traces and metrics already use,
+observation snapshot — the same channel metrics already use,
 so the coordinator folds profiles in submission order regardless of how
 the work was placed (serial or worker processes).  Two
 runs of the same sweep therefore aggregate the same call sites with the

@@ -1,8 +1,8 @@
-"""Hierarchical span tracing for the experiment runtime.
+"""Hierarchical spans for the experiment runtime.
 
-Where :mod:`repro.obs.trace` records what happens *inside* a simulation
-(sim-time-stamped domain events), spans record where *wall-clock* time
-goes while the runtime executes a sweep: one span per sweep
+Where the metrics registry counts what happens *inside* a simulation
+(admissions, handoffs, adaptation rounds), spans record where
+*wall-clock* time goes while the runtime executes a sweep: one span per sweep
 (``sweep``), per replication (``replication``) and per retry attempt
 (``attempt``).  Every span carries a parent id, a monotonic-clock
 duration, a status, and a small attribute dict, so a finished run
@@ -11,24 +11,23 @@ renders as a tree (``python -m repro trace spans``).
 Span ids derive from submission indices and attempt counters only, so
 the structural projection (:func:`canonical_structure`) is
 byte-identical between serial and ``--jobs N`` runs of the same config
-+ seed — the same guarantee the trace/metrics layers make.
++ seed — the same guarantee the metrics layer makes.
 
-Collection is opt-in and process-wide, mirroring the tracer:
+Collection is opt-in and process-wide, mirroring the metrics registry:
 :func:`set_span_collector` installs a collector that the runner backends
 consult at settle time.  Without a collector every emission site reduces
 to an ``is None`` branch — the DES kernel itself is never touched, so
-the untraced hot path keeps its existing overhead budget.
+the hot path keeps its existing overhead budget.
 """
 
 from __future__ import annotations
 
+import gzip
 import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
-
-from .trace import open_text
+from typing import IO, Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "KIND_ATTEMPT",
@@ -41,6 +40,7 @@ __all__ = [
     "canonical_structure",
     "format_span_tree",
     "get_span_collector",
+    "open_text",
     "read_spans_jsonl",
     "replication_span_id",
     "set_span_collector",
@@ -260,6 +260,13 @@ def canonical_structure(spans: List[Span]) -> bytes:
         counts[s.kind] = counts.get(s.kind, 0) + 1
     doc = {"spans": projected, "counts": {k: counts[k] for k in sorted(counts)}}
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
+
+
+def open_text(path: str, mode: str) -> IO[str]:
+    """Open a text file, transparently gzipped when the path ends in ``.gz``."""
+    if str(path).endswith(".gz"):
+        return gzip.open(path, mode + "t", encoding="utf-8")  # type: ignore[return-value]
+    return open(path, mode, encoding="utf-8")
 
 
 def write_spans_jsonl(path: str, spans: List[Span]) -> int:

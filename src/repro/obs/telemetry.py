@@ -6,8 +6,9 @@ per-replication wall times (measured inside the worker and shipped back
 with the result, so they survive process pools), retry / timeout / crash
 counts from the fault-tolerant paths, and result-cache hit/miss counts.
 
-Unlike metrics and traces — which are process-local and therefore blind to
-pool workers — telemetry is aggregated across workers by construction:
+Unlike metrics — which are process-local and reach the coordinator only
+through the runner's per-replication snapshots — telemetry is aggregated
+across workers by construction:
 every number lands on the coordinator with the replication's result.
 """
 
@@ -40,10 +41,6 @@ class RunTelemetry:
     batches: int = 0
     #: Coordinator wall-clock seconds across those batches.
     elapsed: float = 0.0
-    #: Trace records captured inside workers and merged by the coordinator.
-    trace_records: int = 0
-    #: Worker-side trace records lost to ring-buffer overflow.
-    trace_dropped: int = 0
     #: Per-replication wall seconds (successful attempts only).
     wall_times: List[float] = field(default_factory=list)
     #: DES events processed inside successful replications (summed across
@@ -146,8 +143,6 @@ class RunTelemetry:
         self.cache_misses += other.cache_misses
         self.batches += other.batches
         self.elapsed += other.elapsed
-        self.trace_records += other.trace_records
-        self.trace_dropped += other.trace_dropped
         self.wall_times.extend(other.wall_times)
         self.des_events += other.des_events
         if other.des_cores:
@@ -166,10 +161,6 @@ class RunTelemetry:
                 "hits": self.cache_hits,
                 "misses": self.cache_misses,
                 "hit_rate": self.cache_hit_rate,
-            },
-            "trace": {
-                "records": self.trace_records,
-                "dropped": self.trace_dropped,
             },
             "des": {
                 "events": self.des_events,
@@ -206,11 +197,6 @@ class RunTelemetry:
                 f"  cache:         {self.cache_hits} hits / "
                 f"{self.cache_misses} misses "
                 f"({self.cache_hit_rate * 100.0:.1f}% hit rate)"
-            )
-        if self.trace_records or self.trace_dropped:
-            lines.append(
-                f"  worker traces: {self.trace_records} records merged"
-                + (f", {self.trace_dropped} dropped" if self.trace_dropped else "")
             )
         if self.des_events:
             core = self.des_core

@@ -38,12 +38,13 @@ With none of them set the first failure of any kind raises
 :class:`WorkerError`.  Successful results are bit-identical at any
 placement — workers are pure functions of their config.
 
-In-worker observability rides on top of the backends: when a tracer or
-a real metrics registry is installed on the coordinator, each replication
-runs under a private worker-side registry + ring-buffer tracer; the
-compact snapshots ride back with the results through the worker pipe and
-are merged deterministically in replication-index order, so ``--trace`` /
-``--metrics-json`` produce identical output at any ``--jobs N``.
+In-worker observability rides on top of the backends: when a real
+metrics registry is installed on the coordinator (or ``profile`` is on),
+each replication runs under a private worker-side registry and profiler;
+the compact snapshots ride back with the results through the worker pipe
+and are merged deterministically in replication-index order, so the
+``--stats-json`` metrics and the ``--profile`` call counts are identical
+at any ``--jobs N``.
 """
 
 from __future__ import annotations
@@ -85,7 +86,6 @@ from ..obs.spans import (
     sweep_span_id,
 )
 from ..obs.telemetry import RunTelemetry
-from ..obs.trace import RingBufferSink, Tracer, get_tracer, replay_records, set_tracer
 
 if TYPE_CHECKING:
     from .cache import ResultCache
@@ -209,27 +209,17 @@ def drop_failures(results: Sequence[Any], context: str = "sweep") -> List[Any]:
     return succeeded(results)
 
 
-#: Default worker ring-buffer capacity (records per replication).  Sized so
-#: a full paper-scale replication fits; overflow is still counted and
-#: surfaced through ``telemetry.trace_dropped`` rather than lost silently.
-DEFAULT_TRACE_CAPACITY = 1 << 20
-
-
 @dataclass(frozen=True)
 class ObsRequest:
     """Picklable instruction telling a worker what to observe.
 
-    The coordinator builds one per batch from its *installed* collectors
-    (:func:`~repro.obs.trace.get_tracer` /
-    :func:`~repro.obs.metrics.get_registry`) and ships it inside every
-    task payload; workers honor it by running the replication under
+    The coordinator builds one per batch from its *installed* registry
+    (:func:`~repro.obs.metrics.get_registry`) and its ``profile`` option,
+    and ships it inside every task payload; workers honor it by running the replication under
     private collectors and returning an :class:`ObsSnapshot`.
     """
 
     metrics: bool = False
-    trace: bool = False
-    trace_kinds: Optional[frozenset] = None
-    ring_capacity: int = DEFAULT_TRACE_CAPACITY
     #: Run the replication under cProfile; the raw stats dict rides back
     #: in the snapshot and is folded deterministically by the coordinator.
     profile: bool = False
@@ -240,13 +230,10 @@ class ObsSnapshot:
     """What one replication observed — compact, picklable, mergeable.
 
     ``metrics`` is a :meth:`~repro.obs.metrics.MetricsRegistry.to_dict`
-    snapshot; ``records`` the replication's trace records in emission
-    order; ``dropped`` counts ring-buffer overflow.
+    snapshot.
     """
 
     metrics: Optional[Dict[str, Any]] = None
-    records: Optional[List[Dict[str, Any]]] = None
-    dropped: int = 0
     #: Raw ``cProfile`` stats dict for the replication, when profiling.
     profile: Optional[Dict[Any, Any]] = None
 
@@ -255,8 +242,8 @@ class ObsSnapshot:
 #: process-global counters (auto-assigned ids and the like) register a
 #: reset here, so a replication's auto-ids are a function of the
 #: replication alone — never of what the hosting process happened to run
-#: first.  Without this, serial and pooled runs of the same sweep emit
-#: different ids into traces (a worker that ran 3 prior replications has
+#: first.  Without this, serial and pooled runs of the same sweep assign
+#: different ids (a worker that ran 3 prior replications has
 #: advanced its counters; a fresh one has not).
 _REPLICATION_RESETS: List[Callable[[], None]] = []
 
@@ -276,8 +263,7 @@ def _observed_call(
 ) -> Tuple[Any, Optional[ObsSnapshot]]:
     """Run ``fn(config)`` under per-replication observability collectors.
 
-    Installs a fresh registry and/or ring-buffer tracer for the duration
-    of the call and restores the previous collectors afterwards — the
+    Installs a fresh registry and/or profiler for the duration of the call and restores the previous collectors afterwards — the
     serial backend uses this too, so a ``--jobs 1`` run takes the *same*
     capture-then-merge path as a worker run (the byte-identity guarantee).
     With ``obs=None`` this is a plain call (replication resets still run).
@@ -287,14 +273,8 @@ def _observed_call(
     if obs is None:
         return fn(config), None
     registry = MetricsRegistry() if obs.metrics else None
-    sink = RingBufferSink(capacity=obs.ring_capacity) if obs.trace else None
     profiler = cProfile.Profile() if obs.profile else None
     prev_registry = set_registry(registry) if registry is not None else None
-    prev_tracer = (
-        set_tracer(Tracer(sink, kinds=obs.trace_kinds))
-        if sink is not None
-        else None
-    )
     try:
         if profiler is not None:
             result = profiler.runcall(fn, config)
@@ -303,16 +283,12 @@ def _observed_call(
     finally:
         if registry is not None:
             set_registry(prev_registry)
-        if sink is not None:
-            set_tracer(prev_tracer)
     profile_stats: Optional[Dict[Any, Any]] = None
     if profiler is not None:
         profiler.create_stats()
         profile_stats = profiler.stats  # type: ignore[attr-defined]
     return result, ObsSnapshot(
         metrics=registry.to_dict() if registry is not None else None,
-        records=sink.records() if sink is not None else None,
-        dropped=sink.dropped if sink is not None else 0,
         profile=profile_stats,
     )
 
@@ -443,9 +419,6 @@ class ExperimentRunner:
         When True, a config that exhausts its attempts yields a
         :class:`FailedResult` in its result slot instead of raising
         :class:`WorkerError`, so one bad point cannot abort a sweep.
-    trace_capacity:
-        Worker-side trace ring-buffer capacity in records per
-        replication; overflow is counted in ``telemetry.trace_dropped``.
     profile:
         Run every replication under :mod:`cProfile` *in the worker*; the
         raw stats ride back with each observation snapshot and fold into
@@ -466,7 +439,6 @@ class ExperimentRunner:
         retry_backoff: float = 0.0,
         timeout: Optional[float] = None,
         partial: bool = False,
-        trace_capacity: int = DEFAULT_TRACE_CAPACITY,
         profile: bool = False,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
@@ -492,7 +464,6 @@ class ExperimentRunner:
         self.retry_backoff = float(retry_backoff)
         self.timeout = timeout
         self.partial = bool(partial)
-        self.trace_capacity = int(trace_capacity)
         self.profile = bool(profile)
         self._sleep = sleep
         self._clock = clock
@@ -559,7 +530,7 @@ class ExperimentRunner:
                 for i, (value, _snapshot) in zip(pending, computed):
                     results[i] = value
                 if obs is not None:
-                    self._merge_observations(pending, computed)
+                    self._merge_observations(computed)
         except BaseException:
             sweep_status = "failed"
             raise
@@ -587,54 +558,29 @@ class ExperimentRunner:
         """The per-batch observation request, or None when nothing is on.
 
         Mirrors whatever the coordinator has installed *right now*: a
-        tracer means workers trace (honoring its kind filter), a non-null
-        registry means workers meter.
+        non-null registry means workers meter.
         """
-        tracer = get_tracer()
-        registry = get_registry()
-        want_metrics = not isinstance(registry, NullRegistry)
-        want_trace = tracer is not None
-        want_profile = self.profile
-        if not (want_metrics or want_trace or want_profile):
+        want_metrics = not isinstance(get_registry(), NullRegistry)
+        if not (want_metrics or self.profile):
             return None
-        kinds = (
-            frozenset(tracer.kinds)
-            if want_trace and tracer.kinds is not None
-            else None
-        )
-        return ObsRequest(
-            metrics=want_metrics,
-            trace=want_trace,
-            trace_kinds=kinds,
-            ring_capacity=self.trace_capacity,
-            profile=want_profile,
-        )
+        return ObsRequest(metrics=want_metrics, profile=self.profile)
 
     def _merge_observations(
-        self,
-        indices: List[int],
-        computed: List[Tuple[Any, Optional[ObsSnapshot]]],
+        self, computed: List[Tuple[Any, Optional[ObsSnapshot]]]
     ) -> None:
         """Fold per-replication snapshots into the installed collectors.
 
-        Deterministic by construction: ``indices`` ascend in submission
-        order, metrics merge commutes for counters/histograms and adopts
-        the last gauge write, and trace records replay in capture order
-        stamped with their replication index.
+        Deterministic by construction: ``computed`` is in submission order,
+        metrics merge commutes for counters/histograms and adopts the last
+        gauge write, and profiles fold in the same order.
         """
-        tracer = get_tracer()
         registry = get_registry()
         merge_metrics = not isinstance(registry, NullRegistry)
-        for index, (_value, snapshot) in zip(indices, computed):
+        for _value, snapshot in computed:
             if snapshot is None:
                 continue
             if merge_metrics and snapshot.metrics is not None:
                 registry.merge_snapshot(snapshot.metrics)
-            if tracer is not None and snapshot.records is not None:
-                self.telemetry.trace_records += replay_records(
-                    tracer, snapshot.records, replication=index
-                )
-                self.telemetry.trace_dropped += snapshot.dropped
             if snapshot.profile:
                 merge_profile_stats(self._profile_stats, snapshot.profile)
 

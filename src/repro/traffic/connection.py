@@ -27,7 +27,7 @@ def reset_conn_ids() -> None:
 
     The experiment runtime calls this before every replication (via
     :func:`~repro.runtime.runner.register_replication_reset`), so the ids
-    a replication emits into traces depend only on the replication itself
+    a replication assigns depend only on the replication itself
     — not on how many simulations the hosting process ran first.  Direct
     scenario entry points (``run_campus_day``) reset for the same reason.
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Hashable, List, Optional
 
 from ..obs.metrics import get_registry
-from ..obs.trace import get_tracer
 from ..traffic.connection import Connection
 from .cell import Cell
 from .portable import Portable
@@ -138,23 +137,6 @@ class HandoffEngine:
         portable.move_to(to_cell_id, now)
 
         self.outcomes.append(outcome)
-        tracer = get_tracer()
-        if tracer is not None:
-            tracer.emit(
-                "handoff.executed",
-                t=now,
-                portable=str(portable.portable_id),
-                from_cell=(
-                    str(from_cell_id) if from_cell_id is not None else None
-                ),
-                to_cell=str(to_cell_id),
-                moved=len(outcome.moved),
-                dropped=len(outcome.dropped),
-                claimed_targeted=outcome.claimed_targeted,
-                claimed_aggregate=outcome.claimed_aggregate,
-                claimed_pool=outcome.claimed_pool,
-                clean=outcome.clean,
-            )
         registry = get_registry()
         registry.counter("handoffs_total", clean=outcome.clean).inc()
         if outcome.dropped:

@@ -3,7 +3,7 @@
 ``make_environment()`` is the only sanctioned way to pick a kernel; these
 tests pin every edge of that seam — env-var parsing, the explicit-native
 failure mode when the extension is missing, the silent ``auto`` fallback
-for tracing — plus the per-core event accounting that
+to the pure kernel — plus the per-core event accounting that
 telemetry uses to refuse mixed-kernel sweeps.
 
 Tests marked ``requires_native`` exercise the real extension and skip on
@@ -28,7 +28,7 @@ from repro.des import (
     selected_core,
 )
 from repro.des import engine as engine_mod
-from repro.obs import RingBufferSink, RunTelemetry, Tracer, use_tracer
+from repro.obs import RunTelemetry
 from repro.runtime import ExperimentRunner
 
 requires_native = pytest.mark.skipif(
@@ -116,54 +116,6 @@ def test_native_available_reports_no_error_when_importable(clean_env):
     if not native_available():
         pytest.skip("extension genuinely absent; covered by no_native tests")
     assert native_import_error() is None
-
-
-# -- tracing vetoes the compiled pump ----------------------------------------
-
-
-@requires_native
-def test_tracer_forces_pure_selection(clean_env):
-    assert selected_core() == "native"
-    with use_tracer(Tracer(RingBufferSink())):
-        assert selected_core() == "pure"
-        assert selected_core("native") == "pure"  # even an explicit request
-        assert type(make_environment()) is Environment
-    assert selected_core() == "native"
-
-
-@requires_native
-def test_set_tracer_rebinds_pure_pump_and_back(clean_env):
-    """Attaching a tracer mid-life swaps a NativeEnvironment onto the pure
-    pump (so every schedule is recorded); detaching restores the compiled
-    one.  The simulated timeline is identical either way."""
-    from repro.des.native import NativeEnvironment
-
-    def timeline(env):
-        fired = []
-
-        def note(event):
-            fired.append((env.now, event.value))
-
-        for delay in (3.0, 1.0, 2.0):
-            t = env.timeout(delay, value=delay)
-            t.callbacks.append(note)
-        env.run(until=10.0)
-        return fired
-
-    env = make_environment(core="native")
-    assert type(env) is NativeEnvironment
-    assert env._pump is not None
-
-    sink = RingBufferSink()
-    env.set_tracer(Tracer(sink))
-    assert env._pump is None  # traced: compiled pump is off
-    traced = timeline(env)
-    assert sink.records(), "tracer saw no events despite pure rebinding"
-
-    env.set_tracer(None)
-    assert env._pump is not None  # compiled pump restored
-
-    assert traced == timeline(make_environment(core="pure"))
 
 
 # -- pump semantics at the seams --------------------------------------------

@@ -1,7 +1,7 @@
 """Golden digests: what the experiments compute, pinned absolutely.
 
 The identity tests elsewhere are relative (pure == native, serial ==
-pool, traced == untraced), so a change that shifted every backend's
+pool, metered == unmetered), so a change that shifted every backend's
 results the same way would pass all of them.  These tests hash the
 rendered text of each experiment, exactly as ``python -m repro <name>``
 prints it, and compare against committed sha256 digests.

@@ -1,60 +1,6 @@
-"""Gzip support across observability artifacts: sinks, readers, open_text."""
+"""Gzip support for observability artifacts: the shared text opener."""
 
-import gzip
-import json
-
-import pytest
-
-from repro.obs import JsonlSink, Tracer, open_text, read_jsonl, use_tracer
-
-
-def _emit_some(path, compress=None):
-    kwargs = {} if compress is None else {"compress": compress}
-    sink = JsonlSink(path, **kwargs)
-    with use_tracer(Tracer(sink)) as tracer:
-        tracer.emit("des.schedule", t=0.0, event="arrival")
-        tracer.emit("des.fire", t=1.5, event="arrival")
-    sink.close()
-    return sink
-
-
-def test_jsonl_sink_infers_gzip_from_suffix(tmp_path):
-    path = tmp_path / "trace.jsonl.gz"
-    sink = _emit_some(path)
-    assert sink.written == 2
-    assert path.read_bytes()[:2] == b"\x1f\x8b"
-    with gzip.open(path, "rt", encoding="utf-8") as fh:
-        records = [json.loads(line) for line in fh]
-    assert [r["kind"] for r in records] == ["des.schedule", "des.fire"]
-
-
-def test_jsonl_sink_explicit_compress_without_suffix(tmp_path):
-    path = tmp_path / "trace.jsonl"
-    _emit_some(path, compress=True)
-    assert path.read_bytes()[:2] == b"\x1f\x8b"
-
-
-def test_jsonl_sink_plain_by_default(tmp_path):
-    path = tmp_path / "trace.jsonl"
-    _emit_some(path)
-    first = path.read_bytes()[:1]
-    assert first == b"{"
-
-
-@pytest.mark.parametrize("name", ["trace.jsonl", "trace.jsonl.gz"])
-def test_read_jsonl_round_trip(tmp_path, name):
-    path = tmp_path / name
-    _emit_some(path)
-    records = read_jsonl(path)
-    assert [r["kind"] for r in records] == ["des.schedule", "des.fire"]
-    assert records[0]["t"] == 0.0
-
-
-def test_gzipped_and_plain_traces_have_identical_records(tmp_path):
-    plain, packed = tmp_path / "t.jsonl", tmp_path / "t.jsonl.gz"
-    _emit_some(plain)
-    _emit_some(packed)
-    assert read_jsonl(plain) == read_jsonl(packed)
+from repro.obs.spans import open_text
 
 
 def test_open_text_writes_and_reads_both_forms(tmp_path):

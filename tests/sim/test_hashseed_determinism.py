@@ -280,26 +280,28 @@ print(reg.to_json(indent=2))
     )
 
 
-def test_traced_simulation_output_bit_identical_across_hash_seeds():
-    """A traced run's *simulation output* (and the trace's domain records)
-    must not vary with the hash seed: trace fields are built from sorted
-    containers, never raw set/dict iteration."""
+def test_metered_simulation_output_bit_identical_across_hash_seeds():
+    """A metered run's *simulation output* and its registry export must not
+    vary with the hash seed: counters are keyed by sorted labels and the
+    export walks them in sorted order."""
     _assert_hashseed_invariant(
         """
-import dataclasses, json
-from repro.obs import RingBufferSink, Tracer, use_tracer
+import dataclasses
+from repro.experiments.adaptation_value import (
+    AdaptationValueConfig, simulate_adaptation_policy,
+)
+from repro.obs import MetricsRegistry, use_registry
 from repro.sim import TwoCellSimulator, figure6_config
 
-sink = RingBufferSink()
-with use_tracer(Tracer(sink)):
+registry = MetricsRegistry()
+with use_registry(registry):
     result = TwoCellSimulator(
         figure6_config(policy="probabilistic", horizon=60.0, seed=11)
     ).run()
-domain = [
-    json.dumps(r, default=repr)
-    for r in sink.records()
-    if not r["kind"].startswith("des.")
-]
-print((dataclasses.astuple(result.stats), len(sink.records()), domain[:50]))
+    adaptive = simulate_adaptation_policy(
+        AdaptationValueConfig(adaptive=True, duration=30.0)
+    )
+print((dataclasses.astuple(result.stats), adaptive))
+print(registry.to_json(indent=2))
 """
     )

@@ -150,47 +150,43 @@ def test_cache_subcommand_honors_env_dir(tmp_path, capsys, monkeypatch):
 # -- observability flags ------------------------------------------------------
 
 
-def test_trace_flag_jsonl_and_summarize(tmp_path, capsys):
-    trace_path = str(tmp_path / "trace.jsonl")
-    assert main(["table2", "--trace", trace_path]) == 0
-    out = capsys.readouterr().out
-    assert f"trace written to {trace_path}" in out
-
-    from repro.obs import get_tracer, read_jsonl
-
-    assert get_tracer() is None  # uninstalled after the run
-    records = read_jsonl(trace_path)
-    assert any(r["kind"] == "admission.decision" for r in records)
-
-    assert main(["trace", "summarize", trace_path]) == 0
+def test_stats_json_carries_metrics_registry(tmp_path, capsys):
     import json
 
-    summary = json.loads(capsys.readouterr().out)
-    assert summary["records"] == len(records)
-    assert "admission" in summary
-
-
-def test_trace_flag_in_memory_prints_summary(capsys):
-    assert main(["table2", "--trace"]) == 0
-    out = capsys.readouterr().out
-    assert "trace summary:" in out
-    assert "admission.decision" in out
-
-
-def test_metrics_json_flag_exports_registry(tmp_path, capsys):
-    import json
-
-    metrics_path = str(tmp_path / "metrics.json")
-    assert main(["table2", "--metrics-json", metrics_path]) == 0
-    assert f"metrics written to {metrics_path}" in capsys.readouterr().out
+    stats_path = str(tmp_path / "stats.json")
+    assert main(["table2", "--stats-json", stats_path]) == 0
+    capsys.readouterr()
 
     from repro.obs import NullRegistry, get_registry
 
     assert isinstance(get_registry(), NullRegistry)  # restored after the run
-    with open(metrics_path, encoding="utf-8") as fh:
+    with open(stats_path, encoding="utf-8") as fh:
         data = json.load(fh)
-    names = {m["name"] for m in data["metrics"]}
+    names = {m["name"] for m in data["metrics"]["metrics"]}
     assert "admission_decisions_total" in names
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table2", "--trace", "t.jsonl"],
+        ["table2", "--trace"],
+        ["table2", "--metrics-json", "m.json"],
+        ["trace", "summarize", "t.jsonl"],
+    ],
+)
+def test_removed_observability_options_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_campus_stats_prints_handoff_counters(capsys):
+    assert main(["campus", "--portables", "2000", "--stats"]) == 0
+    out = capsys.readouterr().out
+    assert "domain counters:" in out
+    assert "handoffs_total{clean=True}" in out
 
 
 def test_stats_json_and_stats_flags(tmp_path, capsys):
@@ -200,15 +196,9 @@ def test_stats_json_and_stats_flags(tmp_path, capsys):
     assert main(["table2", "--stats-json", stats_path]) == 0
     out = capsys.readouterr().out
     assert "run telemetry:" in out
+    assert "domain counters:" in out
     with open(stats_path, encoding="utf-8") as fh:
         stats = json.load(fh)
     assert stats["batches"] == 1
     assert stats["replications"] > 0
     assert stats["wall_time"]["elapsed"] > 0
-
-
-def test_trace_summarize_rejects_malformed_file(tmp_path):
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"no-kind": 1}\n', encoding="utf-8")
-    with pytest.raises(ValueError, match="missing string 'kind'"):
-        main(["trace", "summarize", str(bad)])
